@@ -18,12 +18,14 @@ type region = Forwarding | Monitoring
 
 type rule = { pattern : Filter.t; action : action; priority : int }
 
+(** A rule's hit counters, updated in place by {!record}. *)
+type counters = private { mutable bytes : float; mutable packets : float }
+
 type installed = private {
   id : int;
   region : region;
   rule : rule;
-  mutable bytes : float;
-  mutable packets : float;
+  counters : counters;
 }
 
 type t
@@ -51,7 +53,8 @@ val find : t -> region -> pattern:Filter.t -> installed option
 val lookup : t -> Flow.five_tuple -> installed option
 
 (** Account [bytes] of traffic for the tuple on every matching rule (the
-    ASIC updates counters for all matched entries in its counter banks). *)
+    ASIC updates counters for all matched entries in its counter banks).
+    Allocates nothing. *)
 val record : t -> Flow.five_tuple -> bytes:float -> unit
 
 val rules : t -> region -> installed list

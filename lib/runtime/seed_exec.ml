@@ -201,8 +201,8 @@ let value_of_installed (e : Tcam.installed) =
     ( "Rule",
       [ ("pattern", Value.FilterV e.rule.pattern);
         ("act", Value.Action e.rule.action);
-        ("bytes", Value.Num e.bytes);
-        ("packets", Value.Num e.packets) ] )
+        ("bytes", Value.Num e.counters.bytes);
+        ("packets", Value.Num e.counters.packets) ] )
 
 let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
     ?(builtins = []) ?restore ?(epoch = 0) ?(adaptive = []) ~resources ~polls
