@@ -102,6 +102,12 @@ val poll_subject : t -> time:float -> Filter.subject -> float array
     [None] when the switch is idle. *)
 val sample_packet : t -> Farm_sim.Rng.t -> Flow.packet option
 
+(** The flow a sample with [target] drawn from \[0, total_rate) comes
+    from: walking the flows in id order and adding up their rates, the
+    first flow with a positive rate at which the sum reaches [target].
+    Served from cached running sums in O(log n) between re-ratings. *)
+val flow_at : t -> float -> active_flow option
+
 (** Total offered egress rate over all flows, bytes/s.  Cached between
     re-ratings; the refresh uses the same fold as always, so the value
     is bit-identical to recomputing on every call. *)
