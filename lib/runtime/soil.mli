@@ -136,8 +136,9 @@ val seed_priority : t -> int -> int
 
 (** [on_poll_drop t ~seed_id f] registers a synchronous callback invoked
     with the number of this seed's polls lost whenever they are dropped
-    (queue-too-long) or shed (overload policy).  Drops are also counted
-    per seed under [soil.<node>.polls.dropped.seed<id>]. *)
+    (queue-too-long) or shed (overload policy); each lost poll is
+    reported once.  Drops are also counted per seed under
+    [soil.<node>.polls.dropped.seed<id>]. *)
 val on_poll_drop : t -> seed_id:int -> (int -> unit) -> unit
 
 val remove_poll_drop_hook : t -> seed_id:int -> unit
