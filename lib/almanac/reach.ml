@@ -348,7 +348,7 @@ let max_items = 2000
 
 type acc = {
   ac_m : Ast.machine;
-  ac_ctx : unit -> ctx;
+  ac_ctx : ?stop_at_unknown:bool -> unit -> ctx;
   ac_states : (string * Ast.state_decl) list;
   (* per-state joined abstract stores *)
   enter_in : (string, astore * int) Hashtbl.t;  (* store, join count *)
@@ -363,6 +363,8 @@ type acc = {
   v404 : (Ast.pos * string, Diagnostic.t) Hashtbl.t;
   mutable complete : bool;
   mutable steps : int;
+  dispatches : (string * string, path list) Hashtbl.t;
+      (* (state, dispatch key) -> paths; see [run_dispatch] *)
 }
 
 let state_of acc name = List.assoc_opt name acc.ac_states
@@ -489,25 +491,40 @@ let enqueue_enter acc name store =
 let enqueue_steady acc name store =
   if join_into acc.steady_in name store then push acc (`Steady name)
 
-(* Run one dispatch unit symbolically from symbolic inputs. *)
-let run_dispatch acc (st : Ast.state_decl) (events : Ast.event list) :
-    path list =
-  let m = acc.ac_m in
-  let globals, locals = sym_inputs m st in
-  let store = mk_istore ~globals ~locals in
-  let eus =
-    List.map
-      (fun (ev : Ast.event) ->
-        let bindings =
-          match ev.trigger with
-          | Ast.On_trigger_var (_, Some x) -> [ (x, Svar ("in:" ^ x, None)) ]
-          | Ast.On_recv (_, x, _) -> [ (x, Svar ("in:" ^ x, None)) ]
-          | _ -> []
-        in
-        { eu_body = ev.body; eu_frame = Fnames bindings })
-      events
-  in
-  run_events (acc.ac_ctx ()) store eus ~binding:(Svar ("in:_", None))
+(* Run the dispatch unit of state [st] for [key] symbolically from
+   symbolic inputs.  Every caller discards all paths of a dispatch once
+   one is [Unknown], so exploration stops at the first such path.  The
+   paths depend on the state and key only, never on the ambient store,
+   so each dispatch runs once per analysis. *)
+let run_dispatch acc (st : Ast.state_decl) key : path list =
+  match Hashtbl.find_opt acc.dispatches (st.sname, key) with
+  | Some paths -> paths
+  | None ->
+      let m = acc.ac_m in
+      let globals, locals = sym_inputs m st in
+      let store = mk_istore ~globals ~locals in
+      let eus =
+        List.map
+          (fun (ev : Ast.event) ->
+            let bindings =
+              match ev.trigger with
+              | Ast.On_trigger_var (_, Some x) -> [ (x, Svar ("in:" ^ x, None)) ]
+              | Ast.On_recv (_, x, _) -> [ (x, Svar ("in:" ^ x, None)) ]
+              | _ -> []
+            in
+            { eu_body = ev.body; eu_frame = Fnames bindings })
+          (events_for m st key)
+      in
+      let paths =
+        run_events
+          (acc.ac_ctx ~stop_at_unknown:true ())
+          store eus ~binding:(Svar ("in:_", None))
+      in
+      Hashtbl.replace acc.dispatches (st.sname, key) paths;
+      paths
+
+let gave_up paths =
+  List.exists (fun p -> match p.outcome with Unknown _ -> true | _ -> false) paths
 
 (* Mark a handler as unexplorable: post is top, all its syntactic
    transits are assumed effective and taken. *)
@@ -548,13 +565,8 @@ let rec flow_transit acc (src : Ast.state_decl) (post : astore) (tgt : string)
         let after_exit =
           if exit_events = [] then [ post ]
           else
-            let paths = run_dispatch acc src exit_events in
-            if
-              List.exists
-                (fun p ->
-                  match p.outcome with Unknown _ -> true | _ -> false)
-                paths
-            then begin
+            let paths = run_dispatch acc src "exit" in
+            if gave_up paths then begin
               acc.complete <- false;
               [ astore_top post ]
             end
@@ -692,18 +704,18 @@ and process_paths acc (st : Ast.state_decl) ~what ~(ambient : astore)
     paths
 
 (* Run one handler (dispatch unit) of state [st] and flow its results. *)
-let run_handler acc (st : Ast.state_decl) ~what (events : Ast.event list)
-    (ambient : astore) : astore list =
+let run_handler acc (st : Ast.state_decl) key (ambient : astore) : astore list
+    =
+  let events = events_for acc.ac_m st key in
   if events = [] then []
   else
-    let paths = run_dispatch acc st events in
-    if List.exists (fun p -> match p.outcome with Unknown _ -> true | _ -> false) paths
-    then begin
+    let paths = run_dispatch acc st key in
+    if gave_up paths then begin
       handle_unknown acc st events ambient;
       [ astore_top ambient ]
     end
     else
-      process_paths acc st ~what ~ambient paths
+      process_paths acc st ~what:("on " ^ key) ~ambient paths
         ~on_transit:(fun post _pos tgt -> flow_transit acc st post tgt)
 
 let process_enter acc name =
@@ -714,12 +726,8 @@ let process_enter acc name =
       else begin
         let transited = ref [] in
         let posts =
-          let paths = run_dispatch acc st enter_events in
-          if
-            List.exists
-              (fun p -> match p.outcome with Unknown _ -> true | _ -> false)
-              paths
-          then begin
+          let paths = run_dispatch acc st "enter" in
+          if gave_up paths then begin
             handle_unknown acc st enter_events ambient;
             transited := [ "?" ];
             [ astore_top ambient ]
@@ -754,11 +762,9 @@ let process_steady acc name =
   | Some st, Some (ambient, _) ->
       List.iter
         (fun key ->
-          let events = events_for acc.ac_m st key in
-          let posts =
-            run_handler acc st ~what:("on " ^ key) events ambient
-          in
-          List.iter (fun post -> enqueue_steady acc name post) posts)
+          List.iter
+            (fun post -> enqueue_steady acc name post)
+            (run_handler acc st key ambient))
         (steady_keys acc.ac_m st)
   | _ -> ()
 
@@ -799,8 +805,8 @@ let analyze ?(budget = default_budget)
   let hooks =
     List.map (fun (t : Ast.trig_decl) -> (t.tname, t.ttyp)) m.mtrigs
   in
-  let mk_ctx () =
-    make_ctx ~budget ~host_builtins
+  let mk_ctx ?stop_at_unknown () =
+    make_ctx ~budget ~host_builtins ?stop_at_unknown
       ~funcs:(Ifuncs (List.map (fun (f : Ast.func_decl) -> (f.fname, f)) funcs))
       ~hooks ()
   in
@@ -817,7 +823,8 @@ let analyze ?(budget = default_budget)
       v403 = Hashtbl.create 4;
       v404 = Hashtbl.create 4;
       complete = true;
-      steps = 0 }
+      steps = 0;
+      dispatches = Hashtbl.create 16 }
   in
   (match m.states with
   | [] -> ()

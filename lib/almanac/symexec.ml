@@ -154,106 +154,109 @@ let term_fact = function
   | Sapp ("index_of", _) -> { iv_full with lo = -1. }
   | _ -> iv_full
 
-(* Decompose a comparison atom into (term, op, constant); the comparison
-   is normalized so the constant is on the right. *)
-let comparison (t, b) =
-  let flip = function
-    | Ast.Lt -> Ast.Gt
-    | Ast.Gt -> Ast.Lt
-    | Ast.Le -> Ast.Ge
-    | Ast.Ge -> Ast.Le
-    | op -> op
-  in
-  let negate = function
+let flip_cmp = function
+  | Ast.Lt -> Ast.Gt
+  | Ast.Gt -> Ast.Lt
+  | Ast.Le -> Ast.Ge
+  | Ast.Ge -> Ast.Le
+  | op -> op
+
+(* the comparison an atom asserts: [op] itself when [b], else its
+   negation *)
+let assert_cmp op b =
+  if b then op
+  else
+    match op with
     | Ast.Lt -> Ast.Ge
     | Ast.Gt -> Ast.Le
     | Ast.Le -> Ast.Gt
     | Ast.Ge -> Ast.Lt
-    | op -> op  (* Eq/Neq handled by caller *)
-  in
+    | Ast.Eq -> Ast.Neq
+    | Ast.Neq -> Ast.Eq
+    | op -> op
+
+(* Decompose a comparison atom into (term, op, constant); the comparison
+   is normalized so the constant is on the right. *)
+let comparison (t, b) =
   match t with
   | Sbinop (((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Neq) as op), x, y)
     -> (
-      let op, x, c =
-        match (x, y) with
-        | x, Con (Value.Num c) -> (op, x, Some c)
-        | Con (Value.Num c), y -> (flip op, y, Some c)
-        | _ -> (op, x, None)
-      in
-      match c with
-      | None -> None
-      | Some c ->
-          let op =
-            if b then op
-            else
-              match op with
-              | Ast.Eq -> Ast.Neq
-              | Ast.Neq -> Ast.Eq
-              | op -> negate op
-          in
-          Some (x, op, c))
+      match (x, y) with
+      | x, Con (Value.Num c) -> Some (x, assert_cmp op b, c)
+      | Con (Value.Num c), y -> Some (y, assert_cmp (flip_cmp op) b, c)
+      | _ -> None)
   | _ -> None
 
 (* Syntactic equality of terms. *)
 let sym_equal (a : sym) (b : sym) = compare a b = 0
 
-let feasible (pc : (sym * bool) list) : bool =
-  (* 1. the same term asserted with both polarities *)
-  let contradiction =
-    List.exists
-      (fun (t, b) -> List.exists (fun (t', b') -> b <> b' && sym_equal t t') pc)
-      pc
-  in
-  if contradiction then false
-  else begin
-    (* 2. trivially decidable comparisons between equal terms *)
-    let trivially_false =
-      List.exists
-        (fun (t, b) ->
-          match t with
-          | Sbinop ((Ast.Eq | Ast.Le | Ast.Ge), x, y) when sym_equal x y ->
-              not b
-          | Sbinop ((Ast.Neq | Ast.Lt | Ast.Gt), x, y) when sym_equal x y -> b
-          | _ -> false)
-        pc
-    in
-    if trivially_false then false
-    else begin
-      (* 3. interval reasoning over comparisons with constants *)
-      let ivs : (sym * iv) list ref = ref [] in
-      let excl : (sym * float) list ref = ref [] in
-      let get t =
-        match List.find_opt (fun (t', _) -> sym_equal t t') !ivs with
-        | Some (_, iv) -> iv
-        | None -> term_fact t
+(* Narrow [iv] by the comparison [op c] ([Neq] does not narrow). *)
+let iv_narrow iv op c =
+  match op with
+  | Ast.Lt -> iv_meet iv { iv_full with hi = c; hi_s = true }
+  | Ast.Le -> iv_meet iv { iv_full with hi = c }
+  | Ast.Gt -> iv_meet iv { iv_full with lo = c; lo_s = true }
+  | Ast.Ge -> iv_meet iv { iv_full with lo = c }
+  | Ast.Eq -> iv_meet iv { lo = c; lo_s = false; hi = c; hi_s = false }
+  | _ -> iv
+
+(* [iv] narrowed by atom [(t, b)] when it compares term [x] with a
+   constant: {!comparison} unfolded, so the many atoms about other terms
+   allocate nothing. *)
+let narrow_on x iv (t, b) =
+  match t with
+  | Sbinop (((Ast.Lt | Ast.Gt | Ast.Le | Ast.Ge | Ast.Eq | Ast.Neq) as op), l, r)
+    -> (
+      match (l, r) with
+      | l, Con (Value.Num c) ->
+          if sym_equal x l then iv_narrow iv (assert_cmp op b) c else iv
+      | Con (Value.Num c), r ->
+          if sym_equal x r then iv_narrow iv (assert_cmp (flip_cmp op) b) c
+          else iv
+      | _ -> iv)
+  | _ -> iv
+
+(* Does atom [(t, b)] assert [x != c]? *)
+let excludes x c (t, b) =
+  match comparison (t, b) with
+  | Some (y, Ast.Neq, c') -> c' = c && sym_equal x y
+  | _ -> false
+
+(* Extend a path condition by one atom.  [None] when the extension is
+   infeasible, the same list when the atom is already asserted.
+
+   A path condition only ever grows through this function, starting
+   from [[]], so [pc] is feasible on entry: no term is asserted with
+   both polarities, no atom is trivially false, and no term's interval
+   is empty or pinned to an excluded constant.  The whole-pc check
+   therefore reduces to the facts that mention the new atom: its
+   opposite polarity, its own triviality, and the interval and
+   exclusions of the one term it compares with a constant.  The
+   interval is folded newest atom first, the order a whole-pc scan
+   uses, so even NaN bounds meet identically. *)
+let extend_pc pc atom =
+  let t, b = norm_atom atom in
+  match List.find_opt (fun (t', _) -> sym_equal t t') pc with
+  | Some (_, b') -> if b = b' then Some pc else None
+  | None -> (
+      let trivially_false =
+        match t with
+        | Sbinop ((Ast.Eq | Ast.Le | Ast.Ge), x, y) when sym_equal x y -> not b
+        | Sbinop ((Ast.Neq | Ast.Lt | Ast.Gt), x, y) when sym_equal x y -> b
+        | _ -> false
       in
-      let set t iv =
-        ivs := (t, iv) :: List.filter (fun (t', _) -> not (sym_equal t t')) !ivs
-      in
-      List.iter
-        (fun atom ->
-          match comparison atom with
-          | None -> ()
-          | Some (x, op, c) -> (
-              match op with
-              | Ast.Lt -> set x (iv_meet (get x) { iv_full with hi = c; hi_s = true })
-              | Ast.Le -> set x (iv_meet (get x) { iv_full with hi = c })
-              | Ast.Gt -> set x (iv_meet (get x) { iv_full with lo = c; lo_s = true })
-              | Ast.Ge -> set x (iv_meet (get x) { iv_full with lo = c })
-              | Ast.Eq ->
-                  set x (iv_meet (get x) { lo = c; lo_s = false; hi = c; hi_s = false })
-              | Ast.Neq -> excl := (x, c) :: !excl
-              | _ -> ()))
-        pc;
-      (not (List.exists (fun (_, iv) -> iv_empty iv) !ivs))
-      && not
-           (List.exists
-              (fun (x, c) ->
-                let iv = get x in
-                iv.lo = c && iv.hi = c && not iv.lo_s && not iv.hi_s)
-              !excl)
-    end
-  end
+      if trivially_false then None
+      else
+        let pc' = (t, b) :: pc in
+        match comparison (t, b) with
+        | None -> Some pc'
+        | Some (x, _, _) ->
+            let iv = List.fold_left (narrow_on x) (term_fact x) pc' in
+            let pinned =
+              iv.lo = iv.hi && (not iv.lo_s) && not iv.hi_s
+              && List.exists (excludes x iv.lo) pc'
+            in
+            if iv_empty iv || pinned then None else Some pc')
 
 (* ------------------------------------------------------------------ *)
 (* Stores                                                              *)
@@ -572,7 +575,6 @@ let init_path store =
 let halted p = p.outcome <> Running || p.ret <> None
 
 let perr p msg = { p with outcome = Err msg }
-let punknown p reason = { p with outcome = Unknown reason }
 
 (* ------------------------------------------------------------------ *)
 (* Execution context                                                   *)
@@ -595,27 +597,38 @@ type ctx = {
   cx_host : string -> bool;  (* names the deployment host serves *)
   cx_hooks : (string * Ast.trigger_type) list;  (* trigger variables *)
   cx_budget : budget;
+  cx_stop_at_unknown : bool;  (* abandon the run at the first [Unknown] *)
   mutable cx_paths : int;  (* forks taken so far in this run *)
 }
 
-let make_ctx ?(budget = default_budget) ?(host_builtins = []) ~funcs ~hooks ()
-    =
+let make_ctx ?(budget = default_budget) ?(host_builtins = [])
+    ?(stop_at_unknown = false) ~funcs ~hooks () =
   { cx_funcs = funcs;
     cx_host = (fun n -> List.mem n host_builtins);
     cx_hooks = hooks;
     cx_budget = budget;
+    cx_stop_at_unknown = stop_at_unknown;
     cx_paths = 0 }
+
+(* Raised with the first [Unknown] path of a [stop_at_unknown] run and
+   caught by the drivers, which then return that path alone. *)
+exception Stopped of path
+
+let punknown ctx p reason =
+  let p = { p with outcome = Unknown reason } in
+  if ctx.cx_stop_at_unknown then raise (Stopped p) else p
+
+let until_unknown (run : unit -> path list) : path list =
+  try run () with Stopped p -> [ p ]
 
 (* ------------------------------------------------------------------ *)
 (* Forking                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let add_atom p atom =
-  let t, b = norm_atom atom in
-  if List.exists (fun (t', b') -> b = b' && sym_equal t t') p.pc then Some p
-  else
-    let pc = (t, b) :: p.pc in
-    if feasible pc then Some { p with pc } else None
+  match extend_pc p.pc atom with
+  | None -> None
+  | Some pc -> if pc == p.pc then Some p else Some { p with pc }
 
 (* Fork on the truthiness of a symbolic term: returns the feasible
    branches tagged with the assumed truth value.  When the path budget
@@ -629,7 +642,7 @@ let fork_bool ctx p t : (path * bool) list =
   | None, None -> []
   | Some pt, Some pf ->
       if ctx.cx_paths >= ctx.cx_budget.max_paths then
-        [ (punknown p "path budget exhausted (--max-paths)", true) ]
+        [ (punknown ctx p "path budget exhausted (--max-paths)", true) ]
       else begin
         ctx.cx_paths <- ctx.cx_paths + 1;
         [ (pt, true); (pf, false) ]
@@ -1000,7 +1013,7 @@ and eval_pure ctx p fname argv : (path * sym) list =
 
 and inline_func ctx p fname f argv : (path * sym) list =
   if p.depth >= ctx.cx_budget.max_inline then
-    [ (punknown p "function inline depth exhausted (--max-paths)", unit_s) ]
+    [ (punknown ctx p "function inline depth exhausted (--max-paths)", unit_s) ]
   else
     match f with
     | `I (fd : Ast.func_decl) ->
@@ -1193,14 +1206,14 @@ and exec_while ctx p cond body iter : path list =
               | false -> [ p ]
               | true ->
                   if iter >= max_concrete_iters then
-                    [ punknown p "loop iteration budget exhausted (--max-paths)" ]
+                    [ punknown ctx p "loop iteration budget exhausted (--max-paths)" ]
                   else
                     bind_paths (exec_stmts ctx p body) (fun p ->
                         exec_while ctx p cond body (iter + 1))
               | exception Value.Type_error m -> [ perr p m ])
           | c ->
               if iter >= ctx.cx_budget.max_unroll then
-                [ punknown p "loop unroll budget exhausted (--max-paths)" ]
+                [ punknown ctx p "loop unroll budget exhausted (--max-paths)" ]
               else
                 List.concat_map
                   (fun (p, b) ->
@@ -1268,9 +1281,10 @@ let run_events ctx store (events : event_u list) ~(binding : sym) : path list
         (fun p -> clear_frame { p with ret = None })  (* Return_exc caught *)
         (exec_stmts ctx p ev.eu_body)
   in
-  List.fold_left
-    (fun paths ev -> List.concat_map (fun p -> run_one p ev) paths)
-    [ init_path store ] events
+  until_unknown (fun () ->
+      List.fold_left
+        (fun paths ev -> List.concat_map (fun p -> run_one p ev) paths)
+        [ init_path store ] events)
 
 (* -- initializer sequences ------------------------------------------ *)
 
@@ -1304,64 +1318,66 @@ let eval_init ctx p (iu : init_u) : (path * sym) list =
 (* Progressive initialization: each initializer sees the previous ones'
    writes (machine-variable creation, initial-state locals at [start]). *)
 let run_inits_progressive ctx store target (inits : init_u list) : path list =
-  List.fold_left
-    (fun paths iu ->
-      bind_paths paths (fun p ->
-          List.map
-            (fun (p, v) ->
-              if halted p then p
-              else
-                { p with
-                  store = raw_write target p.store iu.iu_name iu.iu_slot v })
-            (eval_init ctx p iu)))
-    [ init_path store ] inits
+  until_unknown (fun () ->
+      List.fold_left
+        (fun paths iu ->
+          bind_paths paths (fun p ->
+              List.map
+                (fun (p, v) ->
+                  if halted p then p
+                  else
+                    { p with
+                      store = raw_write target p.store iu.iu_name iu.iu_slot v })
+                (eval_init ctx p iu)))
+        [ init_path store ] inits)
 
 (* Transit-mode local initialization: all initializers read the *old*
    state's locals; the new locals replace them only at the end.
    [new_names] is the target state's runtime locals layout. *)
 let run_local_inits_transit ctx store ~(new_names : string array)
     (inits : init_u list) : path list =
-  let paths =
-    List.fold_left
-      (fun acc iu ->
-        List.concat_map
-          (fun (p, writes) ->
-            if halted p then [ (p, writes) ]
-            else
-              List.map
-                (fun (p, v) -> (p, (iu.iu_name, iu.iu_slot, v) :: writes))
-                (eval_init ctx p iu))
-          acc)
-      [ (init_path store, []) ]
-      inits
-  in
-  List.map
-    (fun (p, writes) ->
-      if halted p then p
-      else
-        let store =
-          match p.store with
-          | Istore st ->
-              let locals =
-                List.fold_left
-                  (fun acc (n, _, v) -> SMap.add n v acc)
-                  SMap.empty (List.rev writes)
-              in
-              Istore { st with i_locals = locals }
-          | Pstore st ->
-              let cells =
-                List.fold_left
-                  (fun acc (_, slot, v) ->
-                    match slot with
-                    | Some i -> IMap.add i v acc
-                    | None -> acc)
-                  IMap.empty (List.rev writes)
-              in
-              Pstore
-                { st with p_locals = cells; p_locals_names = new_names }
-        in
-        { p with store })
-    paths
+  until_unknown (fun () ->
+      let paths =
+        List.fold_left
+          (fun acc iu ->
+            List.concat_map
+              (fun (p, writes) ->
+                if halted p then [ (p, writes) ]
+                else
+                  List.map
+                    (fun (p, v) -> (p, (iu.iu_name, iu.iu_slot, v) :: writes))
+                    (eval_init ctx p iu))
+              acc)
+          [ (init_path store, []) ]
+          inits
+      in
+      List.map
+        (fun (p, writes) ->
+          if halted p then p
+          else
+            let store =
+              match p.store with
+              | Istore st ->
+                  let locals =
+                    List.fold_left
+                      (fun acc (n, _, v) -> SMap.add n v acc)
+                      SMap.empty (List.rev writes)
+                  in
+                  Istore { st with i_locals = locals }
+              | Pstore st ->
+                  let cells =
+                    List.fold_left
+                      (fun acc (_, slot, v) ->
+                        match slot with
+                        | Some i -> IMap.add i v acc
+                        | None -> acc)
+                      IMap.empty (List.rev writes)
+                  in
+                  Pstore
+                    { st with p_locals = cells; p_locals_names = new_names }
+            in
+            { p with store })
+        paths)
 
 (* ------------------------------------------------------------------ *)
 (* Concrete replay (symbolic-vs-concrete soundness)                    *)

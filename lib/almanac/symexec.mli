@@ -6,7 +6,9 @@
     {!Compile.plan}) — forking on symbolic branches and accumulating
     path conditions.  Feasibility is decided without a solver (polarity
     contradiction + interval reasoning over constant comparisons), a
-    sound over-approximation: a feasible path is never dropped.
+    sound over-approximation: a feasible path is never dropped.  Each
+    fork checks only the facts its new atom touches ({!extend_pc}), so
+    a fork costs time linear in the path depth.
 
     Clients: {!Equiv} (translation validation, V401/V402), {!Reach}
     (inter-handler reachability, V403/V404) and the qcheck
@@ -36,7 +38,15 @@ val sym_equal : sym -> sym -> bool
 (** An atom [(t, b)] asserts term [t] is truthy iff [b]. *)
 val norm_atom : sym * bool -> sym * bool
 
-val feasible : (sym * bool) list -> bool
+(** [extend_pc pc atom] adds a normalized [atom] to a path condition
+    built by earlier [extend_pc] calls from [[]]: [None] when the result
+    is infeasible, [pc] itself (physically) when the atom is already
+    asserted.  Exact with respect to the whole-condition check
+    (polarity, trivially false comparisons, per-term intervals and
+    exclusions) because such a [pc] is always feasible, so only the
+    facts that mention the new atom can make the extension infeasible. *)
+val extend_pc : (sym * bool) list -> sym * bool -> (sym * bool) list option
+
 val pc_to_string : (sym * bool) list -> string
 
 (** {2 Stores} *)
@@ -107,17 +117,20 @@ type funcs =
 
 type ctx
 
+(** [stop_at_unknown] (default [false]): abandon a run at the first path
+    that exhausts a budget; the driver then returns that [Unknown] path
+    alone.  For clients that discard every path of a run with an
+    [Unknown] one anyway. *)
 val make_ctx :
   ?budget:budget ->
   ?host_builtins:string list ->
+  ?stop_at_unknown:bool ->
   funcs:funcs ->
   hooks:(string * Ast.trigger_type) list ->
   unit ->
   ctx
 
 (** {2 Drivers} *)
-
-val exec_stmts : ctx -> path -> Ast.stmt list -> path list
 
 (** One event of a dispatch sequence with its side-specific frame. *)
 type event_u = { eu_body : Ast.stmt list; eu_frame : frame_u }
