@@ -44,7 +44,7 @@ type sub_kind =
 type subscription = {
   sub_id : int;
   sub_seed : int;  (* owning seed, for drop attribution and fair share *)
-  kind : sub_kind;
+  mutable kind : sub_kind;  (* handlers are read from here when they run *)
   mutable period : float;
   mutable timer : Engine.timer option;
   mutable active : bool;
@@ -707,7 +707,9 @@ let subscribe_probe t ~seed_id ~filter ~period deliver =
           (fun _ ->
             if sub.active then begin
               Metrics.Counter.incr t.completed;
-              ipc_deliver t (fun () -> deliver pkt)
+              match sub.kind with
+              | Probe p -> ipc_deliver t (fun () -> p.deliver pkt)
+              | Poll _ | Time _ -> ()
             end)
     | Some _ | None -> ()
   in
@@ -721,7 +723,9 @@ let subscribe_time t ~seed_id ~period callback =
       (Engine.every t.engine ~period (fun engine ->
            if sub.active then begin
              charge_cpu t t.cfg.cpu.handler_base_cost;
-             callback (Engine.now engine)
+             match sub.kind with
+             | Time f -> f (Engine.now engine)
+             | Poll _ | Probe _ -> ()
            end));
   sub
 
@@ -738,6 +742,15 @@ let set_period t sub period =
 
 let cancel t sub =
   sub.active <- false;
+  (* Booked bus completions and cancelled timers keep [sub] reachable
+     until they fire, up to a second of simulated time later; they check
+     [active] first, so swap the handlers for no-ops and let the seed's
+     instance be collected now. *)
+  sub.kind <-
+    (match sub.kind with
+    | Poll p -> Poll { p with deliver = ignore }
+    | Probe p -> Probe { p with deliver = ignore }
+    | Time _ -> Time ignore);
   (match sub.timer with Some tm -> Engine.cancel tm | None -> ());
   match sub.kind with
   | Poll p when t.cfg.aggregate_polls -> (

@@ -162,6 +162,52 @@ let test_soil_probe_sampling () =
   Engine.run ~until:1. engine;
   Alcotest.(check bool) "packets sampled" true (!got > 50)
 
+(* Cancelling a subscription frees its handler at once.  Transfers it
+   booked on the bus, and its cancelled timer, still reference the
+   subscription until they fire (a booked completion up to a second of
+   simulated time later); they check [active] first, so the handler, and
+   the seed instance behind it, must not stay reachable through them. *)
+let test_soil_cancel_frees_handler () =
+  let engine, sw, soil = make_soil () in
+  Switch_model.add_flow sw ~time:0. ~flow_id:1
+    ~tuple:{ Flow.src = Farm_net.Ipaddr.of_int 1;
+             dst = Farm_net.Ipaddr.of_int 2; sport = 5; dport = 443;
+             proto = Flow.Tcp }
+    ~rate:1e6 ~egress:0 ();
+  let hits = ref 0 in
+  let poll_h = Weak.create 1 and probe_h = Weak.create 1 in
+  let time_h = Weak.create 1 in
+  (* the handlers exist only inside this frame and the soil *)
+  let[@inline never] subscribe () =
+    let on_poll (_ : float array) = incr hits in
+    let on_probe (_ : Flow.packet) = incr hits in
+    let on_time (_ : float) = incr hits in
+    Weak.set poll_h 0 (Some on_poll);
+    Weak.set probe_h 0 (Some on_probe);
+    Weak.set time_h 0 (Some on_time);
+    [ Soil.subscribe_poll soil ~seed_id:0 ~subject:Filter.All_ports
+        ~period:0.01 on_poll;
+      Soil.subscribe_probe soil ~seed_id:0
+        ~filter:(Filter.atom (Filter.Dst_port 443)) ~period:0.01 on_probe;
+      Soil.subscribe_time soil ~seed_id:0 ~period:0.01 on_time ]
+  in
+  let subs = subscribe () in
+  (* just past the first poll and sample: both transfers are on the bus *)
+  Engine.run ~until:0.01001 engine;
+  let st = Soil.poll_stats soil in
+  Alcotest.(check int) "poll and sample requested" 2 st.requested;
+  Alcotest.(check int) "none completed yet" 0 st.completed;
+  List.iter (Soil.cancel soil) subs;
+  Gc.full_major ();
+  Alcotest.(check bool) "poll handler freed" false (Weak.check poll_h 0);
+  Alcotest.(check bool) "probe handler freed" false (Weak.check probe_h 0);
+  Alcotest.(check bool) "timer handler freed" false (Weak.check time_h 0);
+  let before = !hits in
+  Engine.run ~until:1. engine;
+  Alcotest.(check int) "nothing delivered after cancel" before !hits;
+  Alcotest.(check int) "cancelled completions not counted" 0
+    (Soil.poll_stats soil).completed
+
 (* Under overload protection a lost transfer is one shed, counted once:
    in the soil's drop counter, per seed in the registry and in the owning
    seed's drop hook, including when the incoming request is the one
@@ -1682,7 +1728,9 @@ let () =
           Alcotest.test_case "probe sampling" `Quick test_soil_probe_sampling;
           Alcotest.test_case "tcam mediation" `Quick test_soil_tcam_mediation;
           Alcotest.test_case "shed counted once" `Quick
-            test_soil_shed_counted_once ] );
+            test_soil_shed_counted_once;
+          Alcotest.test_case "cancel frees the handler" `Quick
+            test_soil_cancel_frees_handler ] );
       ( "seeder",
         [ Alcotest.test_case "deploy and detect" `Quick
             test_seeder_deploy_and_detect;
