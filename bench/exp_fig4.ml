@@ -62,11 +62,10 @@ let farm_load ~leaves =
   (* the HH threshold sits above aggregated background port rates so only
      genuine heavy hitters (the churn events) produce reports *)
   let entry =
-    { entry with
-      Tasks.Task_common.externals =
-        [ ("HH",
-           [ ("threshold", Almanac.Value.Num 1e7);
-             ("interval", Almanac.Value.Num 1e-3) ]) ] }
+    Tasks.Task_common.override_externals entry
+      [ ("HH",
+         [ ("threshold", Almanac.Value.Num 1e7);
+           ("interval", Almanac.Value.Num 1e-3) ]) ]
   in
   (match Runtime.Seeder.deploy seeder (Tasks.Task_common.to_task_spec entry) with
   | Ok _ -> ()

@@ -16,11 +16,10 @@ let farm_detect ~seed =
   let seeder = Runtime.Seeder.create w.engine w.fabric in
   let entry = Tasks.Catalog.find "heavy-hitter" in
   let entry =
-    { entry with
-      externals =
-        [ ("HH",
-           [ ("threshold", Almanac.Value.Num Bench_common.hh_threshold);
-             ("interval", Almanac.Value.Num 1e-3) ]) ] }
+    Tasks.Task_common.override_externals entry
+      [ ("HH",
+         [ ("threshold", Almanac.Value.Num Bench_common.hh_threshold);
+           ("interval", Almanac.Value.Num 1e-3) ]) ]
   in
   let task =
     match Runtime.Seeder.deploy seeder (Tasks.Task_common.to_task_spec entry) with

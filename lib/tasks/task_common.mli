@@ -30,6 +30,13 @@ type entry = {
     "Seed" column of Table I). *)
 val seed_loc : entry -> int
 
+(** [override_externals entry [(machine, [(name, v); ...]); ...]]: the
+    entry with each named external binding set to [v], added when the
+    catalog does not bind it; every other binding is kept, so a copy
+    tuned for an experiment cannot drop one the catalog gained later. *)
+val override_externals :
+  entry -> (string * (string * Value.t) list) list -> entry
+
 val to_task_spec : entry -> Farm_runtime.Seeder.task_spec
 
 (** A harvester that just collects seed reports. *)

@@ -387,6 +387,28 @@ let test_multiple_tasks_coexist () =
         (stats.completed > stats.asic_polls))
     (Seeder.soils seeder)
 
+(* an experiment's override replaces the named bindings and keeps the
+   rest, so the tuned copy still deploys (a wholesale replacement dropped
+   hitterAction and the lint refused the deploy with L106) *)
+let test_override_externals () =
+  let e =
+    Task_common.override_externals (Catalog.find "heavy-hitter")
+      [ ("HH", [ ("threshold", Value.Num 5.); ("extra", Value.Num 1.) ]);
+        ("Other", [ ("k", Value.Num 2.) ]) ]
+  in
+  let hh = List.assoc "HH" e.externals in
+  Alcotest.(check (list string))
+    "names" [ "threshold"; "interval"; "hitterAction"; "extra" ]
+    (List.map fst hh);
+  Alcotest.(check bool) "threshold overridden" true
+    (List.assoc "threshold" hh = Value.Num 5.);
+  Alcotest.(check (list string)) "machines" [ "HH"; "Other" ]
+    (List.map fst e.externals);
+  let seeder = Seeder.create (Engine.create ()) (Fabric.create (topo ())) in
+  match Seeder.deploy seeder (Task_common.to_task_spec e) with
+  | Ok _ -> ()
+  | Error m -> Alcotest.failf "overridden heavy-hitter refused: %s" m
+
 let () =
   Alcotest.run "farm_tasks"
     [ ( "catalog",
@@ -396,7 +418,9 @@ let () =
             test_catalog_pretty_roundtrip;
           Alcotest.test_case "inherited HHH deploys both" `Quick
             test_hhh_inherited_deploys_both_machines;
-          Alcotest.test_case "LoC sane" `Quick test_catalog_loc_reasonable ] );
+          Alcotest.test_case "LoC sane" `Quick test_catalog_loc_reasonable;
+          Alcotest.test_case "override keeps other bindings" `Quick
+            test_override_externals ] );
       ( "end-to-end",
         [ Alcotest.test_case "heavy hitter" `Quick test_hh_end_to_end;
           Alcotest.test_case "syn flood" `Quick test_syn_flood_end_to_end;
