@@ -83,17 +83,42 @@ machine Pinned {
   World.run ~until:(0.5 +. (0.3 *. float_of_int crashes) +. 0.5) w;
   seeder
 
-(* Wall-clock on a shared box is noisy; overhead ratios are computed
-   from the best of [reps] runs of each configuration (the minimum wall
-   time is the least-perturbed sample; the simulated work is identical
-   across repeats, as the digest checks assert). *)
-let best_of reps f =
-  let best = ref (f ()) in
-  for _ = 2 to reps do
-    let (dt, _) = !best and ((dt', _) as r) = f () in
-    if dt' < dt then best := r
+(* Wall-clock overhead of configuration [on] against [off].  One world
+   runs ~20 ms, far too short to time alone on a shared box, so a sample
+   runs whole worlds until their timed runs add up to [sample_min_time]
+   seconds.  The two sides alternate, [overhead_samples] times each, so
+   drift in machine load hits both alike.  [off]/[on] run one world and
+   return its wall time and event count.  The result is the median
+   events/sec of each side, the overhead of their ratio in percent, and
+   the interquartile range of the per-pair overheads in percentage
+   points. *)
+let overhead_samples = 10
+let sample_min_time = 0.5
+
+let compare_overhead ~off ~on =
+  let module Histogram = Sim.Metrics.Histogram in
+  let sample run =
+    let events = ref 0 and elapsed = ref 0. in
+    while !elapsed < sample_min_time do
+      let dt, n = run () in
+      events := !events + n;
+      elapsed := !elapsed +. dt
+    done;
+    float_of_int !events /. !elapsed
+  in
+  let eps_off = Histogram.create () and eps_on = Histogram.create () in
+  let pairs = Histogram.create () in
+  for _ = 1 to overhead_samples do
+    let e_off = sample off in
+    let e_on = sample on in
+    Histogram.record eps_off e_off;
+    Histogram.record eps_on e_on;
+    Histogram.record pairs (100. *. ((e_off /. e_on) -. 1.))
   done;
-  !best
+  let m_off = Histogram.percentile eps_off 50.
+  and m_on = Histogram.percentile eps_on 50. in
+  ( m_off, m_on, 100. *. ((m_off /. m_on) -. 1.),
+    Histogram.percentile pairs 75. -. Histogram.percentile pairs 25. )
 
 (* Simulation-core smoke: a couple of independent heavy-hitter worlds
    pushed through the domain-pool sweep runner.  Checks the parallel run
@@ -136,11 +161,13 @@ let sim_smoke () =
 
 (* Observability smoke: the same heavy-hitter world run with tracing
    disabled (the default — a single [None] branch per emission site) and
-   with a sink attached.  The simulation digest must be identical either
-   way (tracing is passive), and the wall-clock ratio is recorded so a
-   regression that makes the disabled path expensive shows up in the
-   report. *)
+   with a sink attached.  The simulation digest must be identical in
+   every run (tracing is passive), and the wall-clock overhead is
+   recorded so a regression that makes the disabled path expensive shows
+   up in the report. *)
 let trace_smoke () =
+  let digests = Hashtbl.create 2 in
+  let alloc = Array.make 2 0. and trace_events = ref 0 in
   let run ~traced () =
     let w = World.create ~seed:4242 ~spines:2 ~leaves:4 ~hosts_per_leaf:1 () in
     let tr = Sim.Trace.create () in
@@ -153,23 +180,24 @@ let trace_smoke () =
     let t0 = Unix.gettimeofday () in
     World.run ~until:1.0 w;
     let dt = Unix.gettimeofday () -. t0 in
-    let alloc = Gc.allocated_bytes () -. a0 in
-    let seeder = w.World.seeder in
-    let digest =
-      Printf.sprintf "dispatched=%d now=%h collector=%h/%d"
-        (Sim.Engine.dispatched w.World.engine)
-        (World.now w)
-        (Runtime.Seeder.collector_bytes seeder)
-        (Runtime.Seeder.collector_messages seeder)
-    in
     let events = Sim.Engine.dispatched w.World.engine in
-    ( dt,
-      (digest, float_of_int events /. dt, Sim.Trace.count tr,
-       alloc /. float_of_int events) )
+    let seeder = w.World.seeder in
+    Hashtbl.replace digests
+      (Printf.sprintf "dispatched=%d now=%h collector=%h/%d" events
+         (World.now w)
+         (Runtime.Seeder.collector_bytes seeder)
+         (Runtime.Seeder.collector_messages seeder))
+      ();
+    alloc.(Bool.to_int traced) <-
+      (Gc.allocated_bytes () -. a0) /. float_of_int events;
+    if traced then trace_events := Sim.Trace.count tr;
+    (dt, events)
   in
-  let _, (d_off, eps_off, _, alloc_off) = best_of 3 (run ~traced:false) in
-  let _, (d_on, eps_on, n_events, alloc_on) = best_of 3 (run ~traced:true) in
-  (String.equal d_off d_on, eps_off, eps_on, n_events, alloc_off, alloc_on)
+  let eps_off, eps_on, overhead, iqr =
+    compare_overhead ~off:(run ~traced:false) ~on:(run ~traced:true)
+  in
+  ( Hashtbl.length digests = 1, eps_off, eps_on, !trace_events, alloc.(0),
+    alloc.(1), overhead, iqr )
 
 (* Overload-protection smoke: the same heavy-hitter world with the
    protection stack disabled (the default) and fully armed but unstressed.
@@ -183,7 +211,8 @@ let overload_smoke () =
   let module Seeder = Runtime.Seeder in
   let module Soil = Runtime.Soil in
   let module Harvester = Runtime.Harvester in
-  let run ~overload =
+  let parity = ref true and sheds = ref 0 in
+  let run ~overload () =
     let seeder_config =
       if overload then Seeder.overload_defaults else Seeder.default_config
     in
@@ -201,30 +230,32 @@ let overload_smoke () =
     World.run ~until:1.0 w;
     let dt = Unix.gettimeofday () -. t0 in
     let seeder = w.World.seeder in
-    let digest =
-      Printf.sprintf "dispatched=%d now=%h collector=%h/%d"
-        (Sim.Engine.dispatched w.World.engine)
-        (World.now w)
-        (Runtime.Seeder.collector_bytes seeder)
-        (Runtime.Seeder.collector_messages seeder)
-    in
-    let run_sheds =
-      List.fold_left
-        (fun acc soil ->
-          match Soil.overload_stats soil with
-          | Some st -> acc + st.Soil.o_shed
-          | None -> acc)
-        (Harvester.shed_count (Seeder.harvester task))
-        (Seeder.soils seeder)
-    in
-    let sheds = run_sheds in
-    ( dt,
-      (digest, float_of_int (Sim.Engine.dispatched w.World.engine) /. dt,
-       sheds) )
+    if overload then
+      sheds :=
+        !sheds
+        + List.fold_left
+            (fun acc soil ->
+              match Soil.overload_stats soil with
+              | Some st -> acc + st.Soil.o_shed
+              | None -> acc)
+            (Harvester.shed_count (Seeder.harvester task))
+            (Seeder.soils seeder)
+    else begin
+      let digest =
+        Printf.sprintf "dispatched=%d now=%h collector=%h/%d"
+          (Sim.Engine.dispatched w.World.engine)
+          (World.now w)
+          (Runtime.Seeder.collector_bytes seeder)
+          (Runtime.Seeder.collector_messages seeder)
+      in
+      if not (String.equal digest seed_digest) then parity := false
+    end;
+    (dt, Sim.Engine.dispatched w.World.engine)
   in
-  let _, (d_off, eps_off, _) = best_of 3 (fun () -> run ~overload:false) in
-  let _, (_, eps_on, sheds_on) = best_of 3 (fun () -> run ~overload:true) in
-  (String.equal d_off seed_digest, eps_off, eps_on, sheds_on)
+  let eps_off, eps_on, overhead, iqr =
+    compare_overhead ~off:(run ~overload:false) ~on:(run ~overload:true)
+  in
+  (!parity, eps_off, eps_on, !sheds, overhead, iqr)
 
 let () =
   let out = if Array.length Sys.argv > 1 then Sys.argv.(1) else "BENCH_micro.json" in
@@ -259,26 +290,29 @@ let () =
   Printf.printf "  sweep     %11s\n%!"
     (if sweep_deterministic then "deterministic" else "NONDETERMINISTIC");
 
-  let trace_inert, eps_off, eps_on, trace_events, alloc_off, alloc_on =
+  let ( trace_inert, eps_off, eps_on, trace_events, alloc_off, alloc_on,
+        trace_overhead_pct, trace_iqr_pct ) =
     trace_smoke ()
   in
-  let trace_overhead_pct = 100. *. ((eps_off /. eps_on) -. 1.) in
-  Printf.printf "observability (heavy-hitter world, 1 s simulated, best of 3):\n";
+  Printf.printf
+    "observability (heavy-hitter world, 1 s simulated, median of %d samples):\n"
+    overhead_samples;
   Printf.printf "  untraced  %11.0f events/sec (%.0f B allocated/event)\n"
     eps_off alloc_off;
   Printf.printf
-    "  traced    %11.0f events/sec (%.0f B/event, %d trace events, %+.1f%%)\n"
-    eps_on alloc_on trace_events trace_overhead_pct;
+    "  traced    %11.0f events/sec (%.0f B/event, %d trace events, %+.1f%%, IQR %.1f)\n"
+    eps_on alloc_on trace_events trace_overhead_pct trace_iqr_pct;
   Printf.printf "  digests   %11s\n%!"
     (if trace_inert then "identical" else "DIVERGED");
 
-  let ov_parity, ov_eps_off, ov_eps_on, ov_sheds = overload_smoke () in
-  let ov_overhead_pct = 100. *. ((ov_eps_off /. ov_eps_on) -. 1.) in
+  let ov_parity, ov_eps_off, ov_eps_on, ov_sheds, ov_overhead_pct, ov_iqr_pct =
+    overload_smoke ()
+  in
   Printf.printf "overload protection (heavy-hitter world, 1 s simulated):\n";
   Printf.printf "  disabled  %11.0f events/sec (digest %s)\n" ov_eps_off
     (if ov_parity then "= seed baseline" else "DIVERGED FROM SEED");
-  Printf.printf "  armed     %11.0f events/sec (%d shed, %+.1f%%)\n%!"
-    ov_eps_on ov_sheds ov_overhead_pct;
+  Printf.printf "  armed     %11.0f events/sec (%d shed, %+.1f%%, IQR %.1f)\n%!"
+    ov_eps_on ov_sheds ov_overhead_pct ov_iqr_pct;
 
   let crashes = 30 in
   let seeder = mttr_bench ~crashes in
@@ -323,14 +357,18 @@ let () =
     \    \"untraced_alloc_bytes_per_event\": %.1f,\n\
     \    \"traced_alloc_bytes_per_event\": %.1f,\n\
     \    \"trace_events\": %d,\n\
-    \    \"overhead_pct\": %.1f\n\
+    \    \"overhead_pct\": %.1f,\n\
+    \    \"samples\": %d,\n\
+    \    \"iqr_pct\": %.1f\n\
     \  },\n\
     \  \"overload\": {\n\
     \    \"disabled_digest_parity\": %b,\n\
     \    \"disabled_events_per_sec\": %.1f,\n\
     \    \"armed_events_per_sec\": %.1f,\n\
     \    \"armed_idle_sheds\": %d,\n\
-    \    \"overhead_pct\": %.1f\n\
+    \    \"overhead_pct\": %.1f,\n\
+    \    \"samples\": %d,\n\
+    \    \"iqr_pct\": %.1f\n\
     \  },\n\
     \  \"self_healing_mttr\": {\n\
     \    \"crash_episodes\": %d,\n\
@@ -345,8 +383,8 @@ let () =
     interp_eps compiled_eps speedup sim_eps sim_alloc_per_event
     sweep_deterministic trace_inert
     eps_off eps_on alloc_off alloc_on trace_events trace_overhead_pct
-    ov_parity ov_eps_off
-    ov_eps_on ov_sheds ov_overhead_pct crashes
+    overhead_samples trace_iqr_pct ov_parity ov_eps_off
+    ov_eps_on ov_sheds ov_overhead_pct overhead_samples ov_iqr_pct crashes
     (Histogram.count dl) d50 d95 d99
     dmax (Histogram.count rt) r50 r95 r99 rmax
     (Seeder.checkpoints_shipped seeder)

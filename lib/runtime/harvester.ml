@@ -1,4 +1,5 @@
 module Value = Farm_almanac.Value
+module Metrics = Farm_sim.Metrics
 
 type ctx = {
   send_to_seed : switch:int -> Value.t -> unit;
@@ -36,49 +37,36 @@ type t = {
   fences : (int, int) Hashtbl.t;
   seen : (int, Ipc.Dedup.t) Hashtbl.t;  (* per-seed seqs of the fence epoch *)
   mutable prov_log : (float * provenance) list;  (* accepted, newest first *)
-  mutable n_received : int;  (* = List.length log, kept O(1) *)
-  mutable stale_dropped : int;
-  mutable dup_dropped : int;
+  n_received : Metrics.Counter.t;  (* = List.length log, kept O(1) *)
+  stale_dropped : Metrics.Counter.t;
+  dup_dropped : Metrics.Counter.t;
   mutable tracer : Farm_sim.Trace.t option;  (* wired by the seeder *)
-  (* overload protection; [n_offered] is always counted (a plain int, so
-     disabled runs stay byte-identical) *)
-  mutable ov : overload_config option;
+  ov : overload_config option;
   mutable ov_window_start : float;
   ov_counts : (int, int) Hashtbl.t;  (* per-seed admits this window *)
-  mutable n_offered : int;
-  mutable n_shed : int;
+  n_offered : Metrics.Counter.t;  (* counted even with shedding off *)
+  n_shed : Metrics.Counter.t;
 }
 
-let create spec ctx =
+let create ?metrics ?overload spec ctx =
+  let c name =
+    match metrics with
+    | Some (reg, prefix) -> Metrics.Registry.counter reg (prefix ^ name)
+    | None -> Metrics.Counter.create ()
+  in
+  (* only an overload-enabled harvester registers its shed metrics, so
+     default runs publish exactly the pre-overload registry *)
+  let ov_c name =
+    if Option.is_some overload then c name else Metrics.Counter.create ()
+  in
   { spec; ctx; log = []; fences = Hashtbl.create 16; seen = Hashtbl.create 16;
-    prov_log = []; n_received = 0; stale_dropped = 0; dup_dropped = 0;
-    tracer = None; ov = None; ov_window_start = 0.;
-    ov_counts = Hashtbl.create 16; n_offered = 0; n_shed = 0 }
+    prov_log = []; n_received = c "received";
+    stale_dropped = c "stale_dropped"; dup_dropped = c "dup_dropped";
+    tracer = None; ov = overload; ov_window_start = ctx.now ();
+    ov_counts = Hashtbl.create 16; n_offered = ov_c "offered";
+    n_shed = ov_c "shed" }
 
 let set_tracer t tr = t.tracer <- tr
-
-let set_overload t cfg =
-  t.ov <- cfg;
-  t.ov_window_start <- t.ctx.now ();
-  Hashtbl.reset t.ov_counts
-
-let overload t = t.ov
-
-let metrics_register t reg ~prefix =
-  let g name f =
-    Farm_sim.Metrics.Registry.gauge_fn reg (prefix ^ name)
-      (fun () -> float_of_int (f ()))
-  in
-  g "received" (fun () -> t.n_received);
-  g "stale_dropped" (fun () -> t.stale_dropped);
-  g "dup_dropped" (fun () -> t.dup_dropped);
-  (* only an overload-enabled deployment registers its shed metrics, so
-     default runs publish exactly the pre-overload registry *)
-  match t.ov with
-  | None -> ()
-  | Some _ ->
-      g "offered" (fun () -> t.n_offered);
-      g "shed" (fun () -> t.n_shed)
 
 let start t = t.spec.on_start t.ctx
 
@@ -98,7 +86,7 @@ let fence_epoch t ~seed_id = Hashtbl.find_opt t.fences seed_id
 let admit t p =
   let cur = Option.value (Hashtbl.find_opt t.fences p.p_seed) ~default:(-1) in
   if p.p_epoch < cur then begin
-    t.stale_dropped <- t.stale_dropped + 1;
+    Metrics.Counter.incr t.stale_dropped;
     false
   end
   else begin
@@ -113,7 +101,7 @@ let admit t p =
     in
     if Ipc.Dedup.register dedup p.p_seq then true
     else begin
-      t.dup_dropped <- t.dup_dropped + 1;
+      Metrics.Counter.incr t.dup_dropped;
       false
     end
   end
@@ -136,7 +124,7 @@ let shed_check t p =
         Option.value (Hashtbl.find_opt t.ov_counts p.p_seed) ~default:0
       in
       if used >= share then begin
-        t.n_shed <- t.n_shed + 1;
+        Metrics.Counter.incr t.n_shed;
         true
       end
       else begin
@@ -145,7 +133,7 @@ let shed_check t p =
       end
 
 let handle ?provenance t ~from_switch v =
-  t.n_offered <- t.n_offered + 1;
+  Metrics.Counter.incr t.n_offered;
   let accept = match provenance with None -> true | Some p -> admit t p in
   let shed =
     accept
@@ -170,14 +158,14 @@ let handle ?provenance t ~from_switch v =
     | Some p -> t.prov_log <- (t.ctx.now (), p) :: t.prov_log
     | None -> ());
     t.log <- (t.ctx.now (), from_switch, v) :: t.log;
-    t.n_received <- t.n_received + 1;
+    Metrics.Counter.incr t.n_received;
     t.spec.on_message t.ctx ~from_switch v
   end
 
 let received t = t.log
-let received_count t = t.n_received
+let received_count t = Metrics.Counter.count t.n_received
 let accepted_provenance t = t.prov_log
-let stale_dropped t = t.stale_dropped
-let dup_dropped t = t.dup_dropped
-let offered_count t = t.n_offered
-let shed_count t = t.n_shed
+let stale_dropped t = Metrics.Counter.count t.stale_dropped
+let dup_dropped t = Metrics.Counter.count t.dup_dropped
+let offered_count t = Metrics.Counter.count t.n_offered
+let shed_count t = Metrics.Counter.count t.n_shed

@@ -22,9 +22,29 @@ type spec = {
 (** A harvester that only records messages. *)
 val collector_spec : spec
 
+(** Bounded inbox (overload protection): at most [max_reports] reports
+    admitted per rolling [window] (seconds), split fairly across the
+    task's reporting seeds: a seed past its [max_reports / seeds] share
+    is shed first.  Shedding happens after fencing/dedup, so stale and
+    duplicate drops are never double-counted as sheds. *)
+type overload_config = { window : float; max_reports : int }
+
+val default_overload : overload_config
+
 type t
 
-val create : spec -> ctx -> t
+(** [create ?metrics ?overload spec ctx].  With [metrics = (reg,
+    prefix)] the harvester's counts live in [reg] as counters under
+    [prefix]: [received], [stale_dropped], [dup_dropped], plus [offered]
+    and [shed] when [overload] is given.  Without
+    [overload] every fresh report is admitted. *)
+val create :
+  ?metrics:Farm_sim.Metrics.Registry.t * string ->
+  ?overload:overload_config ->
+  spec ->
+  ctx ->
+  t
+
 val start : t -> unit
 
 (** Attach (or detach) a trace sink: every inbound report then emits an
@@ -32,28 +52,7 @@ val start : t -> unit
     by the seeder from [Engine.tracer] at deploy time. *)
 val set_tracer : t -> Farm_sim.Trace.t option -> unit
 
-(** Publish this harvester's accounting (received / stale_dropped /
-    dup_dropped, plus offered / shed when overload protection is on) as
-    callback gauges under [prefix] in [reg]. *)
-val metrics_register :
-  t -> Farm_sim.Metrics.Registry.t -> prefix:string -> unit
-
 (** {2 Bounded inbox (overload protection)} *)
-
-(** At most [max_reports] reports admitted per rolling [window] (seconds),
-    split fairly across the task's reporting seeds: a seed past its
-    [max_reports / seeds] share is shed first.  Shedding happens after
-    fencing/dedup, so stale and duplicate drops are never double-counted
-    as sheds. *)
-type overload_config = { window : float; max_reports : int }
-
-val default_overload : overload_config
-
-(** Enable ([Some]) or disable ([None]) inbox shedding.  Wired by the
-    seeder at deploy time when its overload protection is configured. *)
-val set_overload : t -> overload_config option -> unit
-
-val overload : t -> overload_config option
 
 (** Reports offered to [handle] in total (counted even with shedding off,
     so the balance [offered = received + stale + dup + shed] always

@@ -150,9 +150,9 @@ type ov = {
   (* base for the per-message keyed jitter streams: replays draw the same
      jitter for the same (msg key, try) regardless of interleaving *)
   jitter_rng : Farm_sim.Rng.t;
-  mutable rate_limited : int;  (* sends delayed by the token bucket *)
-  mutable breaker_dropped : int;  (* sends refused by an open breaker *)
-  mutable retry_capped : int;  (* retries refused by the in-flight bound *)
+  rate_limited : Metrics.Counter.t;  (* sends delayed by the token bucket *)
+  breaker_dropped : Metrics.Counter.t;  (* sends refused by an open breaker *)
+  retry_capped : Metrics.Counter.t;  (* retries over the in-flight bound *)
 }
 
 type t = {
@@ -173,15 +173,15 @@ type t = {
   mutable next_task : int;
   mutable next_msg : int;  (* control-message ids (idempotent receipt) *)
   mutable assignments : Model.assignment list;
-  mutable migration_count : int;
+  migrations : Metrics.Counter.t;
   collector_bytes : Metrics.Counter.t;
-  mutable collector_messages : int;
+  collector_messages : Metrics.Counter.t;
   (* control-plane fault injection; the rng is split lazily so fault-free
      runs draw exactly the same random streams as before this existed *)
   mutable ctrl : ctrl_faults;
   ctrl_rng : Farm_sim.Rng.t Lazy.t;
-  mutable retransmissions : int;
-  mutable lost_messages : int;
+  retransmissions : Metrics.Counter.t;
+  lost_messages : Metrics.Counter.t;
   (* utility the optimizer reported for the current placement; checked
      against a from-scratch recomputation by the chaos suite *)
   mutable reported_utility : float;
@@ -197,19 +197,19 @@ type t = {
   detection_latency : Metrics.Histogram.t;
   recovery_time : Metrics.Histogram.t;
   checkpoint_bytes : Metrics.Counter.t;
-  mutable heartbeats_sent : int;
-  mutable heartbeats_delivered : int;
-  mutable checkpoints_shipped : int;
-  mutable checkpoint_gaps : int;
-  mutable detections : int;
-  mutable false_detections : int;
-  mutable auto_recoveries : int;
-  mutable zombies_fenced : int;
-  mutable fenced_sends : int;
+  heartbeats_sent : Metrics.Counter.t;
+  heartbeats_delivered : Metrics.Counter.t;
+  checkpoints_shipped : Metrics.Counter.t;
+  checkpoint_gaps : Metrics.Counter.t;
+  detections : Metrics.Counter.t;
+  false_detections : Metrics.Counter.t;
+  auto_recoveries : Metrics.Counter.t;
+  zombies_fenced : Metrics.Counter.t;
+  fenced_sends : Metrics.Counter.t;
   (* overload resilience *)
   ov : ov option;
   pressured : (int, unit) Hashtbl.t;  (* soils currently under pressure *)
-  mutable pressure_events : int;  (* pressure flag flips seen *)
+  pressure_events : Metrics.Counter.t;  (* pressure flag flips seen *)
   mutable storm_reports : int;  (* reports injected by Report_storm faults *)
 }
 
@@ -227,8 +227,8 @@ let soils t =
 
 let set_ctrl_faults t f = t.ctrl <- f
 let ctrl_faults t = t.ctrl
-let retransmissions t = t.retransmissions
-let lost_messages t = t.lost_messages
+let retransmissions t = Metrics.Counter.count t.retransmissions
+let lost_messages t = Metrics.Counter.count t.lost_messages
 
 let task_name task = task.spec.ts_name
 
@@ -281,8 +281,8 @@ let current_assignments t = t.assignments
 let reported_utility t = t.reported_utility
 
 let collector_bytes t = Metrics.Counter.value t.collector_bytes
-let collector_messages t = t.collector_messages
-let migrations t = t.migration_count
+let collector_messages t = Metrics.Counter.count t.collector_messages
+let migrations t = Metrics.Counter.count t.migrations
 
 (* rough wire size of a value *)
 let rec value_bytes (v : Value.t) =
@@ -408,19 +408,19 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
   in
   let resend () =
     if tries >= t.cfg.max_retries then begin
-      t.lost_messages <- t.lost_messages + 1;
+      Metrics.Counter.incr t.lost_messages;
       trace_instant t ~name:"ctrl_lost" []
     end
     else if not (retry_slot ()) then begin
       (match t.ov with
-      | Some ov -> ov.retry_capped <- ov.retry_capped + 1
+      | Some ov -> Metrics.Counter.incr ov.retry_capped
       | None -> ());
-      t.lost_messages <- t.lost_messages + 1;
+      Metrics.Counter.incr t.lost_messages;
       trace_instant t ~name:"ctrl_retry_capped"
         [ ("node", Trace.I (Option.value dest ~default:(-1))) ]
     end
     else begin
-      t.retransmissions <- t.retransmissions + 1;
+      Metrics.Counter.incr t.retransmissions;
       trace_instant t ~name:"ctrl_retry" [ ("try", Trace.I (tries + 1)) ];
       let backoff =
         (t.cfg.retry_backoff *. (2. ** float_of_int tries)) +. jitter ()
@@ -456,7 +456,7 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
           | `Gone ->
               (* the channel answered; only the recipient is gone *)
               breaker_success ();
-              t.lost_messages <- t.lost_messages + 1);
+              Metrics.Counter.incr t.lost_messages);
       if dup then
         (* duplicated in flight: second copy, delivery outcome ignored *)
         Engine.schedule t.engine
@@ -474,15 +474,15 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
         | None -> false
       in
       if refused then begin
-        ov.breaker_dropped <- ov.breaker_dropped + 1;
-        t.lost_messages <- t.lost_messages + 1;
+        Metrics.Counter.incr ov.breaker_dropped;
+        Metrics.Counter.incr t.lost_messages;
         trace_instant t ~name:"ctrl_breaker_drop"
           [ ("node", Trace.I (Option.value dest ~default:(-1))) ]
       end
       else begin
         let delay = Overload.Token_bucket.reserve ov.bucket ~now in
         if delay > 0. then begin
-          ov.rate_limited <- ov.rate_limited + 1;
+          Metrics.Counter.incr ov.rate_limited;
           trace_instant t ~name:"ctrl_rate_limited" [];
           Engine.schedule t.engine ~delay (fun _ -> transmit ())
         end
@@ -513,10 +513,11 @@ let oneshot_send t ?(extra = 0.) deliver =
 let deliver_to_harvester t task ~from_switch ~prov v =
   Farm_sim.Metrics.Counter.add t.collector_bytes
     (value_bytes v +. t.cfg.message_overhead_bytes);
-  t.collector_messages <- t.collector_messages + 1;
+  Metrics.Counter.incr t.collector_messages;
   (* the breaker guards the per-switch channel in both directions; the
      message counter doubles as the jitter-stream key *)
-  control_send t ~dest:from_switch ~key:t.collector_messages (fun () ->
+  let key = Metrics.Counter.count t.collector_messages in
+  control_send t ~dest:from_switch ~key (fun () ->
       match task.harvester with
       | Some h ->
           Harvester.handle ~provenance:prov h ~from_switch v;
@@ -575,7 +576,7 @@ let seed_send t task exec (target : Interp.target) v =
       if live then
         deliver_to_seeds t task ~machine:m ~node v
           ~from:(Interp.From_machine (Seed_exec.machine_name exec))
-      else t.fenced_sends <- t.fenced_sends + 1
+      else Metrics.Counter.incr t.fenced_sends
 
 (* ------------------------------------------------------------------ *)
 (* Placement application                                               *)
@@ -613,7 +614,7 @@ let receive_checkpoint t (r : reg) (ck : Checkpoint.t) =
           st.st_seq <- ck.ck_seq;
           st.st_time <- Engine.now t.engine
         end
-        else t.checkpoint_gaps <- t.checkpoint_gaps + 1
+        else Metrics.Counter.incr t.checkpoint_gaps
     | _ ->
         if ck.ck_full then
           r.r_store <-
@@ -621,7 +622,7 @@ let receive_checkpoint t (r : reg) (ck : Checkpoint.t) =
               { st_epoch = ck.ck_epoch; st_seq = ck.ck_seq;
                 st_vars = ck.ck_vars; st_state = ck.ck_state;
                 st_time = Engine.now t.engine }
-        else t.checkpoint_gaps <- t.checkpoint_gaps + 1
+        else Metrics.Counter.incr t.checkpoint_gaps
 
 let ship_checkpoint t (r : reg) =
   match r.r_exec with
@@ -646,7 +647,7 @@ let ship_checkpoint t (r : reg) =
           ck_removed; ck_state = state }
       in
       let bytes = Checkpoint.wire_bytes ck in
-      t.checkpoints_shipped <- t.checkpoints_shipped + 1;
+      Metrics.Counter.incr t.checkpoints_shipped;
       Metrics.Counter.add t.checkpoint_bytes bytes;
       (* serializing state burns management CPU on the switch *)
       Soil.charge_cpu (Seed_exec.soil exec) (2e-6 +. (bytes *. 5e-9));
@@ -729,7 +730,7 @@ let apply_placement t (placement : Model.placement) =
               ("to", Trace.I a.a_node) ];
           retire_exec r;
           r.r_migrating <- true;
-          t.migration_count <- t.migration_count + 1;
+          Metrics.Counter.incr t.migrations;
           Engine.schedule t.engine ~delay:t.cfg.migration_time (fun _ ->
               r.r_migrating <- false;
               (* the fabric may have changed while the state was in
@@ -785,7 +786,7 @@ let kill_zombies_on t node =
   List.iter
     (fun (_, _, exec) ->
       if Seed_exec.is_alive exec then Seed_exec.destroy exec;
-      t.zombies_fenced <- t.zombies_fenced + 1)
+      Metrics.Counter.incr t.zombies_fenced)
     mine
 
 (* Tell the (possibly only suspected-dead) switch to terminate a demoted
@@ -796,7 +797,7 @@ let send_kill t exec =
       if List.exists (fun (_, _, e) -> e == exec) t.zombies then begin
         t.zombies <- List.filter (fun (_, _, e) -> not (e == exec)) t.zombies;
         Seed_exec.destroy exec;
-        t.zombies_fenced <- t.zombies_fenced + 1;
+        Metrics.Counter.incr t.zombies_fenced;
         `Delivered
       end
       else `Gone)
@@ -816,11 +817,11 @@ let heal_replace t ~affected =
    harvesters until the switch rejoins. *)
 let declare_failed t node =
   let now = Engine.now t.engine in
-  t.detections <- t.detections + 1;
+  Metrics.Counter.incr t.detections;
   trace_instant t ~name:"declare_failed" [ ("node", Trace.I node) ];
   (match Hashtbl.find_opt t.down node with
   | Some t0 -> Metrics.Histogram.record t.detection_latency (now -. t0)
-  | None -> t.false_detections <- t.false_detections + 1);
+  | None -> Metrics.Counter.incr t.false_detections);
   Hashtbl.replace t.failed node ();
   Hashtbl.replace t.detected node ();
   List.iter
@@ -849,7 +850,7 @@ let declare_failed t node =
     (fun seed_id ->
       match Hashtbl.find_opt t.registry seed_id with
       | Some r when r.r_exec <> None ->
-          t.auto_recoveries <- t.auto_recoveries + 1;
+          Metrics.Counter.incr t.auto_recoveries;
           (match Hashtbl.find_opt t.down node with
           | Some t0 -> Metrics.Histogram.record t.recovery_time (now -. t0)
           | None -> ())
@@ -883,7 +884,7 @@ let rejoin_orphans t node =
             (* the re-push is itself lost if the switch died again in the
                meantime — only count recoveries that took effect *)
             if r.r_exec <> None then begin
-              t.auto_recoveries <- t.auto_recoveries + 1;
+              Metrics.Counter.incr t.auto_recoveries;
               match Hashtbl.find_opt t.last_crash node with
               | Some t0 when t0 <= now ->
                   Metrics.Histogram.record t.recovery_time (now -. t0)
@@ -893,14 +894,14 @@ let rejoin_orphans t node =
     t.assignments
 
 let on_heartbeat t node =
-  t.heartbeats_delivered <- t.heartbeats_delivered + 1;
+  Metrics.Counter.incr t.heartbeats_delivered;
   Hashtbl.replace t.last_seen node (Engine.now t.engine);
   if Hashtbl.mem t.detected node then control_recover t node
   else if not (Hashtbl.mem t.failed node) then rejoin_orphans t node
 
 let beat t node =
   if not (Hashtbl.mem t.down node) then begin
-    t.heartbeats_sent <- t.heartbeats_sent + 1;
+    Metrics.Counter.incr t.heartbeats_sent;
     trace_instant t ~name:"heartbeat" [ ("node", Trace.I node) ];
     oneshot_send t (fun () -> on_heartbeat t node)
   end
@@ -949,8 +950,11 @@ let create ?(config = default_config) engine fabric =
         (Soil.create ~config:config.soil_config engine sw))
     (Fabric.switch_models fabric);
   let reg = Engine.metrics engine in
+  let c = Metrics.Registry.counter reg in
   (* built before [ctrl_rng] is ever forced, so the enabled-mode stream
-     layout is fixed: one split for jitter, then the lazy ctrl split *)
+     layout is fixed: one split for jitter, then the lazy ctrl split.
+     Overload instrumentation registers only when protection is on, so
+     default runs publish exactly the pre-overload registry. *)
   let ov =
     Option.map
       (fun ovp ->
@@ -960,7 +964,9 @@ let create ?(config = default_config) engine fabric =
               ~burst:ovp.burst;
           breakers = Hashtbl.create 8; inflight = Hashtbl.create 8;
           jitter_rng = Farm_sim.Rng.split (Engine.rng engine);
-          rate_limited = 0; breaker_dropped = 0; retry_capped = 0 })
+          rate_limited = c "seeder.ctrl.rate_limited";
+          breaker_dropped = c "seeder.ctrl.breaker_dropped";
+          retry_capped = c "seeder.ctrl.retry_capped" })
       config.ctrl_protection
   in
   let t =
@@ -969,23 +975,31 @@ let create ?(config = default_config) engine fabric =
       last_seen = Hashtbl.create 16; detected = Hashtbl.create 4;
       registry = Hashtbl.create 64;
       next_seed = 0; next_task = 0; next_msg = 0; assignments = [];
-      migration_count = 0;
-      collector_bytes = Metrics.Registry.counter reg "seeder.collector.bytes";
-      collector_messages = 0;
+      migrations = c "seeder.migrations";
+      collector_bytes = c "seeder.collector.bytes";
+      collector_messages = c "seeder.collector.messages";
       ctrl = perfect_ctrl;
       ctrl_rng = lazy (Farm_sim.Rng.split (Engine.rng engine));
-      retransmissions = 0; lost_messages = 0; reported_utility = 0.;
+      retransmissions = c "seeder.control.retransmissions";
+      lost_messages = c "seeder.control.lost"; reported_utility = 0.;
       profiles = []; last_diags = []; zombies = [];
       detection_latency =
         Metrics.Registry.histogram reg "seeder.detection_latency";
       recovery_time = Metrics.Registry.histogram reg "seeder.recovery_time";
-      checkpoint_bytes =
-        Metrics.Registry.counter reg "seeder.checkpoint.bytes";
-      heartbeats_sent = 0; heartbeats_delivered = 0;
-      checkpoints_shipped = 0; checkpoint_gaps = 0; detections = 0;
-      false_detections = 0; auto_recoveries = 0; zombies_fenced = 0;
-      fenced_sends = 0;
-      ov; pressured = Hashtbl.create 8; pressure_events = 0;
+      checkpoint_bytes = c "seeder.checkpoint.bytes";
+      heartbeats_sent = c "seeder.heartbeats.sent";
+      heartbeats_delivered = c "seeder.heartbeats.delivered";
+      checkpoints_shipped = c "seeder.checkpoints.shipped";
+      checkpoint_gaps = c "seeder.checkpoints.gaps";
+      detections = c "seeder.detections";
+      false_detections = c "seeder.detections.false";
+      auto_recoveries = c "seeder.recoveries.auto";
+      zombies_fenced = c "seeder.zombies.fenced";
+      fenced_sends = c "seeder.sends.fenced";
+      ov; pressured = Hashtbl.create 8;
+      pressure_events =
+        (if Option.is_none ov then Metrics.Counter.create ()
+         else c "seeder.pressure.events");
       storm_reports = 0 }
   in
   (* soils running the overload monitor report their pressure flips up *)
@@ -996,43 +1010,25 @@ let create ?(config = default_config) engine fabric =
             let was = Hashtbl.mem t.pressured node in
             if high && not was then begin
               Hashtbl.replace t.pressured node ();
-              t.pressure_events <- t.pressure_events + 1
+              Metrics.Counter.incr t.pressure_events
             end
             else if (not high) && was then begin
               Hashtbl.remove t.pressured node;
-              t.pressure_events <- t.pressure_events + 1
+              Metrics.Counter.incr t.pressure_events
             end))
     soils;
-  (* publish the plain mutable counters as callback gauges, sampled at
-     snapshot time — no extra work on the hot paths that bump them *)
-  let g name f = Metrics.Registry.gauge_fn reg name (fun () -> float_of_int (f ())) in
-  g "seeder.heartbeats.sent" (fun () -> t.heartbeats_sent);
-  g "seeder.heartbeats.delivered" (fun () -> t.heartbeats_delivered);
-  g "seeder.checkpoints.shipped" (fun () -> t.checkpoints_shipped);
-  g "seeder.checkpoints.gaps" (fun () -> t.checkpoint_gaps);
-  g "seeder.detections" (fun () -> t.detections);
-  g "seeder.detections.false" (fun () -> t.false_detections);
-  g "seeder.recoveries.auto" (fun () -> t.auto_recoveries);
-  g "seeder.zombies.fenced" (fun () -> t.zombies_fenced);
-  g "seeder.sends.fenced" (fun () -> t.fenced_sends);
-  g "seeder.control.retransmissions" (fun () -> t.retransmissions);
-  g "seeder.control.lost" (fun () -> t.lost_messages);
-  g "seeder.migrations" (fun () -> t.migration_count);
-  g "seeder.collector.messages" (fun () -> t.collector_messages);
-  (* overload instrumentation registers only when protection is on, so
-     default runs publish exactly the pre-overload registry *)
+  (* derived values are sampled at snapshot time *)
   (match t.ov with
   | None -> ()
   | Some ov ->
-      g "seeder.ctrl.rate_limited" (fun () -> ov.rate_limited);
-      g "seeder.ctrl.breaker_dropped" (fun () -> ov.breaker_dropped);
-      g "seeder.ctrl.retry_capped" (fun () -> ov.retry_capped);
+      let g name f =
+        Metrics.Registry.gauge_fn reg name (fun () -> float_of_int (f ()))
+      in
       g "seeder.ctrl.breaker_opens" (fun () ->
           Hashtbl.fold
             (fun _ b acc -> acc + Overload.Breaker.opens b)
             ov.breakers 0);
-      g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured);
-      g "seeder.pressure.events" (fun () -> t.pressure_events));
+      g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured));
   if config.auto_heal then install_healing t;
   t
 
@@ -1208,13 +1204,14 @@ let deploy t spec =
         now = (fun () -> Engine.now t.engine);
         log = (fun _ -> ()) }
     in
-    let h = Harvester.create spec.ts_harvester ctx in
+    let h =
+      Harvester.create
+        ~metrics:
+          ( Engine.metrics t.engine,
+            Printf.sprintf "harvester.task%d." task.task_id )
+        ?overload:t.cfg.harvester_overload spec.ts_harvester ctx
+    in
     Harvester.set_tracer h (Engine.tracer t.engine);
-    (match t.cfg.harvester_overload with
-    | Some _ as ho -> Harvester.set_overload h ho
-    | None -> ());
-    Harvester.metrics_register h (Engine.metrics t.engine)
-      ~prefix:(Printf.sprintf "harvester.task%d." task.task_id);
     task.harvester <- Some h;
     reoptimize t;
     if not task.placed then begin
@@ -1362,12 +1359,13 @@ let seed_epoch t seed_id =
 (* ------------------------------------------------------------------ *)
 
 let ctrl_protection_enabled t = t.ov <> None
-let rate_limited t = match t.ov with Some ov -> ov.rate_limited | None -> 0
 
-let breaker_dropped t =
-  match t.ov with Some ov -> ov.breaker_dropped | None -> 0
+let ov_count f t =
+  match t.ov with Some ov -> Metrics.Counter.count (f ov) | None -> 0
 
-let retry_capped t = match t.ov with Some ov -> ov.retry_capped | None -> 0
+let rate_limited = ov_count (fun ov -> ov.rate_limited)
+let breaker_dropped = ov_count (fun ov -> ov.breaker_dropped)
+let retry_capped = ov_count (fun ov -> ov.retry_capped)
 
 let breaker_opens t =
   match t.ov with
@@ -1385,7 +1383,7 @@ let pressured_switches t =
   Hashtbl.fold (fun n () acc -> n :: acc) t.pressured []
   |> List.sort Int.compare
 
-let pressure_events t = t.pressure_events
+let pressure_events t = Metrics.Counter.count t.pressure_events
 let storm_reports t = t.storm_reports
 
 (* Fault.Report_storm: every seed instance on [node] blasts [reports]
@@ -1410,14 +1408,14 @@ let inject_report_storm t ~node ~reports =
 
 let detection_latency t = t.detection_latency
 let recovery_time t = t.recovery_time
-let heartbeats_sent t = t.heartbeats_sent
-let heartbeats_delivered t = t.heartbeats_delivered
-let checkpoints_shipped t = t.checkpoints_shipped
-let checkpoint_gaps t = t.checkpoint_gaps
+let heartbeats_sent t = Metrics.Counter.count t.heartbeats_sent
+let heartbeats_delivered t = Metrics.Counter.count t.heartbeats_delivered
+let checkpoints_shipped t = Metrics.Counter.count t.checkpoints_shipped
+let checkpoint_gaps t = Metrics.Counter.count t.checkpoint_gaps
 let checkpoint_bytes t = Metrics.Counter.value t.checkpoint_bytes
-let detections t = t.detections
-let false_detections t = t.false_detections
-let auto_recoveries t = t.auto_recoveries
-let zombies_fenced t = t.zombies_fenced
-let fenced_sends t = t.fenced_sends
+let detections t = Metrics.Counter.count t.detections
+let false_detections t = Metrics.Counter.count t.false_detections
+let auto_recoveries t = Metrics.Counter.count t.auto_recoveries
+let zombies_fenced t = Metrics.Counter.count t.zombies_fenced
+let fenced_sends t = Metrics.Counter.count t.fenced_sends
 let zombie_count t = List.length t.zombies

@@ -95,7 +95,6 @@ type ov = {
   mutable ov_busy : bool;  (* a transfer is on the bus *)
   mutable ov_offered : int;
   mutable ov_completed : int;
-  mutable ov_shed_n : int;
   mutable ov_qpeak : int;
   mutable ov_pcie_busy : float;  (* accumulated bus-busy seconds *)
   mutable ov_last_cpu : float;  (* monitor window baselines *)
@@ -240,7 +239,7 @@ let create ?(config = default_config) engine sw =
           { ov_cfg = ovc;
             ov_queue =
               Pcie_queue.create ~capacity:ovc.max_pcie_queue no_xfer;
-            ov_busy = false; ov_offered = 0; ov_completed = 0; ov_shed_n = 0;
+            ov_busy = false; ov_offered = 0; ov_completed = 0;
             ov_qpeak = 0; ov_pcie_busy = 0.; ov_last_cpu = 0.;
             ov_last_pcie = 0.;
             ov_pressured = false; ov_prio = Hashtbl.create 8;
@@ -350,7 +349,7 @@ let overload_stats t =
   | Some ov ->
       Some
         { o_offered = ov.ov_offered; o_completed = ov.ov_completed;
-          o_shed = ov.ov_shed_n;
+          o_shed = Metrics.Counter.count ov.ov_shed;
           o_pending =
             Pcie_queue.length ov.ov_queue + (if ov.ov_busy then 1 else 0);
           o_queue_peak = ov.ov_qpeak }
@@ -497,7 +496,6 @@ let ov_enqueue t ov ~bytes ~seeds ~lost k =
     (* shed the least valuable request among the queue and the incoming
        one *)
     let victim = Pcie_queue.shed q req in
-    ov.ov_shed_n <- ov.ov_shed_n + 1;
     Metrics.Counter.incr ov.ov_shed;
     victim.payload.x_lost Shed
   end

@@ -5,6 +5,7 @@ module Counter = struct
   let add t x = t.v <- t.v +. x
   let incr t = add t 1.
   let value t = t.v
+  let count t = int_of_float t.v
   let reset t = t.v <- 0.
 end
 

@@ -9,6 +9,11 @@ module Counter : sig
   val add : t -> float -> unit
   val incr : t -> unit
   val value : t -> float
+
+  val count : t -> int
+  (** [value] truncated to an int: the reading of a counter bumped only
+      by [incr]. *)
+
   val reset : t -> unit
 end
 

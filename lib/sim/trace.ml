@@ -51,15 +51,11 @@ let null_event = { ts = 0.; cat = ""; name = ""; tid = 0; ph = Instant; args = [
 let sh_gen = 0 (* side slab holds the event verbatim *)
 let sh_i0 = 1 (* instant, no args *)
 let sh_ii = 2 (* instant, args = [k0, I a0] *)
-let sh_if = 3 (* instant, args = [k0, F pay] *)
-let sh_iff = 4 (* instant, args = [k0, F pay; k1, F pay2] *)
-let sh_iif = 5 (* instant, args = [k0, I a0; k1, F pay] *)
-let sh_iis = 6 (* instant, args = [k0, I a0; k1, S (str a1)] *)
-let sh_isi = 7 (* instant, args = [k0, S (str a0); k1, I a1] *)
-let sh_s0 = 8 (* span dur=pay, no args *)
-let sh_sf = 9 (* span dur=pay, args = [k0, F pay2] *)
-let sh_si = 10 (* span dur=pay, args = [k0, I a0] *)
-let sh_c = 11 (* counter, value = pay *)
+let sh_iis = 3 (* instant, args = [k0, I a0; k1, S (str a1)] *)
+let sh_isi = 4 (* instant, args = [k0, S (str a0); k1, I a1] *)
+let sh_s0 = 5 (* span dur=pay, no args *)
+let sh_sf = 6 (* span dur=pay, args = [k0, F pay2] *)
+let sh_c = 7 (* counter, value = pay *)
 
 let name_bits = 16
 let small_bits = 10
@@ -86,8 +82,8 @@ let desc_tid d = (d lsr (4 + name_bits + (3 * small_bits))) land small_max
    a [sh_gen] event actually lands in the chunk. *)
 type chunk = {
   k_ts : float array;
-  k_pay : float array;  (* dur / counter value / float arg 0 *)
-  k_pay2 : float array;  (* float arg 1 *)
+  k_pay : float array;  (* dur / counter value *)
+  k_pay2 : float array;  (* span_f's float arg *)
   k_desc : int array;
   k_a0 : int array;
   k_a1 : int array;
@@ -252,42 +248,6 @@ let instant_i t ~ts ~cat ~name ~tid ~k v =
       { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
         args = [ (istr t k, I v) ] }
 
-let instant_f t ~ts ~cat ~name ~tid ~k v =
-  if fits ~cat ~name ~k0:k ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:v ~pay2:0.
-      ~desc:(pack ~shape:sh_if ~cat ~name ~k0:k ~k1:0 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k, F v) ] }
-
-let instant_ff t ~ts ~cat ~name ~tid ~k0 v0 ~k1 v1 =
-  if fits ~cat ~name ~k0 ~k1 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:v0 ~pay2:v1
-      ~desc:(pack ~shape:sh_iff ~cat ~name ~k0 ~k1 ~tid)
-      ~a0:0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k0, F v0); (istr t k1, F v1) ] }
-
-let instant_if t ~ts ~cat ~name ~tid ~k0 v0 ~k1 v1 =
-  if fits ~cat ~name ~k0 ~k1 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:v1 ~pay2:0.
-      ~desc:(pack ~shape:sh_iif ~cat ~name ~k0 ~k1 ~tid)
-      ~a0:v0 ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Instant;
-        args = [ (istr t k0, I v0); (istr t k1, F v1) ] }
-
 let instant_is t ~ts ~cat ~name ~tid ~k0 v0 ~k1 s1 =
   if fits ~cat ~name ~k0 ~k1 ~tid then begin
     let i = next_slot t in
@@ -336,18 +296,6 @@ let span_f t ~ts ~dur ~cat ~name ~tid ~k v =
       { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur;
         args = [ (istr t k, F v) ] }
 
-let span_i t ~ts ~dur ~cat ~name ~tid ~k v =
-  if fits ~cat ~name ~k0:k ~k1:0 ~tid then begin
-    let i = next_slot t in
-    store t i ~ts ~pay:dur ~pay2:0.
-      ~desc:(pack ~shape:sh_si ~cat ~name ~k0:k ~k1:0 ~tid)
-      ~a0:v ~a1:0
-  end
-  else
-    emit t
-      { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur;
-        args = [ (istr t k, I v) ] }
-
 let counter_id t ~ts ~cat ~name ~tid ~value =
   if fits ~cat ~name ~k0:0 ~k1:0 ~tid then begin
     let i = next_slot t in
@@ -363,18 +311,15 @@ let counter_id t ~ts ~cat ~name ~tid ~value =
 (* Legacy record-building entry points: arbitrary [cat]/[name]/[args],
    kept for cold paths and external callers.  They intern the strings (so
    flush-time decoding shares one table) and store compactly when the
-   args match a fixed shape. *)
+   args match a shape some hot path also uses; every other argument
+   pattern (soil pressure flips, seed degradation) goes to the record
+   slab. *)
 
 let instant t ~ts ~cat ~name ?(tid = 0) ?(args = []) () =
   let cat = intern t cat and name = intern t name in
   match args with
   | [] -> instant0 t ~ts ~cat ~name ~tid
   | [ (k, I v) ] -> instant_i t ~ts ~cat ~name ~tid ~k:(intern t k) v
-  | [ (k, F v) ] -> instant_f t ~ts ~cat ~name ~tid ~k:(intern t k) v
-  | [ (k0, F v0); (k1, F v1) ] ->
-      instant_ff t ~ts ~cat ~name ~tid ~k0:(intern t k0) v0 ~k1:(intern t k1) v1
-  | [ (k0, I v0); (k1, F v1) ] ->
-      instant_if t ~ts ~cat ~name ~tid ~k0:(intern t k0) v0 ~k1:(intern t k1) v1
   | [ (k0, I v0); (k1, S s1) ] ->
       instant_is t ~ts ~cat ~name ~tid ~k0:(intern t k0) v0 ~k1:(intern t k1)
         (intern t s1)
@@ -390,7 +335,6 @@ let span t ~ts ~dur ~cat ~name ?(tid = 0) ?(args = []) () =
   match args with
   | [] -> span0 t ~ts ~dur ~cat ~name ~tid
   | [ (k, F v) ] -> span_f t ~ts ~dur ~cat ~name ~tid ~k:(intern t k) v
-  | [ (k, I v) ] -> span_i t ~ts ~dur ~cat ~name ~tid ~k:(intern t k) v
   | args ->
       emit t
         { ts; cat = istr t cat; name = istr t name; tid; ph = Span dur; args }
@@ -416,16 +360,12 @@ let decode_at t c i =
     let ph, args =
       if shape = sh_i0 then (Instant, [])
       else if shape = sh_ii then (Instant, [ (k0 (), I a0) ])
-      else if shape = sh_if then (Instant, [ (k0 (), F pay) ])
-      else if shape = sh_iff then (Instant, [ (k0 (), F pay); (k1 (), F pay2) ])
-      else if shape = sh_iif then (Instant, [ (k0 (), I a0); (k1 (), F pay) ])
       else if shape = sh_iis then
         (Instant, [ (k0 (), I a0); (k1 (), S (istr t a1)) ])
       else if shape = sh_isi then
         (Instant, [ (k0 (), S (istr t a0)); (k1 (), I a1) ])
       else if shape = sh_s0 then (Span pay, [])
       else if shape = sh_sf then (Span pay, [ (k0 (), F pay2) ])
-      else if shape = sh_si then (Span pay, [ (k0 (), I a0) ])
       else (Counter pay, [])
     in
     { ts; cat; name; tid; ph; args }

@@ -84,14 +84,6 @@ val instant0 : t -> ts:float -> cat:int -> name:int -> tid:int -> unit
 val instant_i : t -> ts:float -> cat:int -> name:int -> tid:int -> k:int -> int -> unit
 (** One [I] argument under key [k]. *)
 
-val instant_f : t -> ts:float -> cat:int -> name:int -> tid:int -> k:int -> float -> unit
-
-val instant_ff :
-  t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> float -> k1:int -> float -> unit
-
-val instant_if :
-  t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> int -> k1:int -> float -> unit
-
 val instant_is :
   t -> ts:float -> cat:int -> name:int -> tid:int -> k0:int -> int -> k1:int -> int -> unit
 (** [I] then [S] argument; the string is passed as an interned id. *)
@@ -103,8 +95,6 @@ val instant_si :
 val span0 : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> unit
 
 val span_f : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> k:int -> float -> unit
-
-val span_i : t -> ts:float -> dur:float -> cat:int -> name:int -> tid:int -> k:int -> int -> unit
 
 val count : t -> int
 (** Events currently held (≤ ring size for flight recorders). *)

@@ -170,7 +170,9 @@ let partial_tcp_flow =
 
 (* Slowloris: many concurrent connections to port 80, each with a tiny
    byte rate.  Detected by combining the port-80 counter (low volume) with
-   a high distinct-connection count. *)
+   a high distinct-connection count.  A transit runs after its handler
+   returns, so [win] keeps [conns] when it transits: [enter] reports the
+   window's connection count, then clears it. *)
 let slowloris_source =
   {|
 machine Slowloris {
@@ -202,8 +204,9 @@ machine Slowloris {
     when (win as t) do {
       if (size(conns) >= connLimit and windowBytes <= volumeLimit) then {
         transit attacked;
+      } else {
+        conns = [];
       }
-      conns = [];
       windowBytes = 0;
     }
   }

@@ -1465,8 +1465,8 @@ let prop_harvester_fencing =
     ~count:500 ~print
     (list_size (int_range 1 120) op)
     (fun ops ->
-      let mk () =
-        Harvester.create Harvester.collector_spec
+      let mk ?overload () =
+        Harvester.create ?overload Harvester.collector_spec
           { Harvester.send_to_seed = (fun ~switch:_ _ -> ());
             broadcast = (fun _ -> ());
             now = (fun () -> 0.);
@@ -1475,9 +1475,7 @@ let prop_harvester_fencing =
       let h = mk () in
       (* same op stream against a bounded inbox: seeds compete for a
          5-report budget, so plenty of fresh reports get shed *)
-      let hb = mk () in
-      Harvester.set_overload hb
-        (Some { Harvester.window = 1.0; max_reports = 5 });
+      let hb = mk ~overload:{ Harvester.window = 1.0; max_reports = 5 } () in
       (* reference model: per-seed fence + per-instance seen set (reset
          whenever the fence rises, like the runtime's dedup) *)
       let fences = Hashtbl.create 4 in
@@ -1713,6 +1711,168 @@ let test_shed_allocation_pinned () =
   Alcotest.(check (float 0.)) "minor words per shed" 7. words;
   Alcotest.(check int) "queue stays full" 16 (Pcie_queue.length q)
 
+(* -- the registry is the only store of runtime statistics ------------ *)
+
+module Registry = Farm_sim.Metrics.Registry
+
+(* Healing and overload protection armed, a lossy and duplicating
+   control channel and one crash: enough traffic to move most seeder,
+   harvester and soil counts off zero. *)
+let roam_source =
+  {|
+machine Roam {
+  place any;
+  poll ticks = Poll { .ival = 0.01, .what = port ANY };
+  long count = 0;
+  state s {
+    when (ticks as stats) do { count = count + 1; send count to harvester; }
+  }
+}
+|}
+
+let test_accessors_read_registry () =
+  let config =
+    { Seeder.overload_defaults with
+      Seeder.auto_heal = true;
+      ctrl_protection =
+        Some
+          { Seeder.default_protection with
+            Seeder.rate_limit = 60.; burst = 4.; max_inflight_retries = 1 };
+      harvester_overload = Some { Harvester.window = 0.1; max_reports = 4 } }
+  in
+  let w = Farm.World.create ~seed:11 ~seeder_config:config () in
+  let deploy name spec =
+    match Seeder.deploy w.Farm.World.seeder spec with
+    | Ok t -> t
+    | Error m -> Alcotest.failf "deploy %s: %s" name m
+  in
+  let hh =
+    deploy "heavy-hitter"
+      (Farm_tasks.Task_common.to_task_spec
+         (Farm_tasks.Catalog.find "heavy-hitter"))
+  in
+  let roam = deploy "roam" (Seeder.simple_spec ~name:"roam" ~source:roam_source) in
+  Farm.World.background_traffic ~flows:24 w;
+  let s = w.Farm.World.seeder in
+  Seeder.set_ctrl_faults s { Seeder.loss = 0.3; delay = 0.; dup = 0.2 };
+  Engine.schedule w.Farm.World.engine ~delay:0.5 (fun _ ->
+      match Seeder.seeds s roam with
+      | e :: _ -> Seeder.crash_switch s (Seed_exec.node e)
+      | [] -> Alcotest.fail "roam seed not running");
+  Farm.World.run ~until:1.5 w;
+  let reg = Engine.metrics w.Farm.World.engine in
+  let stored name v =
+    (match Registry.find reg name with
+    | Some (Registry.Counter _) -> ()
+    | Some _ -> Alcotest.failf "%s is not a counter" name
+    | None -> Alcotest.failf "%s is not registered" name);
+    Alcotest.(check (option (float 0.))) name
+      (Some (float_of_int v)) (Registry.value reg name)
+  in
+  List.iter
+    (fun (name, f) -> stored ("seeder." ^ name) (f s))
+    [ ("heartbeats.sent", Seeder.heartbeats_sent);
+      ("heartbeats.delivered", Seeder.heartbeats_delivered);
+      ("checkpoints.shipped", Seeder.checkpoints_shipped);
+      ("checkpoints.gaps", Seeder.checkpoint_gaps);
+      ("detections", Seeder.detections);
+      ("detections.false", Seeder.false_detections);
+      ("recoveries.auto", Seeder.auto_recoveries);
+      ("zombies.fenced", Seeder.zombies_fenced);
+      ("sends.fenced", Seeder.fenced_sends);
+      ("control.retransmissions", Seeder.retransmissions);
+      ("control.lost", Seeder.lost_messages);
+      ("migrations", Seeder.migrations);
+      ("collector.messages", Seeder.collector_messages);
+      ("ctrl.rate_limited", Seeder.rate_limited);
+      ("ctrl.breaker_dropped", Seeder.breaker_dropped);
+      ("ctrl.retry_capped", Seeder.retry_capped);
+      ("pressure.events", Seeder.pressure_events) ];
+  List.iteri
+    (fun id task ->
+      let h = Seeder.harvester task in
+      List.iter
+        (fun (name, f) ->
+          stored (Printf.sprintf "harvester.task%d.%s" id name) (f h))
+        [ ("received", Harvester.received_count);
+          ("stale_dropped", Harvester.stale_dropped);
+          ("dup_dropped", Harvester.dup_dropped);
+          ("offered", Harvester.offered_count);
+          ("shed", Harvester.shed_count) ])
+    [ hh; roam ];
+  List.iter
+    (fun soil ->
+      match Soil.overload_stats soil with
+      | Some st ->
+          stored (Printf.sprintf "soil.%d.polls.shed" (Soil.node_id soil))
+            st.Soil.o_shed
+      | None -> Alcotest.fail "soil overload off")
+    (Seeder.soils s);
+  (* the world really exercised the paths behind the counts *)
+  List.iter
+    (fun (what, n) -> Alcotest.(check bool) (what ^ " > 0") true (n > 0))
+    [ ("detections", Seeder.detections s);
+      ("auto recoveries", Seeder.auto_recoveries s);
+      ("retransmissions", Seeder.retransmissions s);
+      ("rate limited", Seeder.rate_limited s);
+      ("breaker dropped", Seeder.breaker_dropped s);
+      ("harvester sheds", Harvester.shed_count (Seeder.harvester roam));
+      ("stale drops", Harvester.stale_dropped (Seeder.harvester roam)) ]
+
+(* Registry names of a heavy-hitter world, recorded before the counts
+   moved into the registry.  Default runs publish exactly the
+   pre-overload registry; arming overload protection adds its own
+   names and nothing else. *)
+let default_names =
+  [ "harvester.task0.dup_dropped"; "harvester.task0.received";
+    "harvester.task0.stale_dropped"; "seeder.checkpoint.bytes";
+    "seeder.checkpoints.gaps"; "seeder.checkpoints.shipped";
+    "seeder.collector.bytes"; "seeder.collector.messages";
+    "seeder.control.lost"; "seeder.control.retransmissions";
+    "seeder.detection_latency"; "seeder.detections";
+    "seeder.detections.false"; "seeder.heartbeats.delivered";
+    "seeder.heartbeats.sent"; "seeder.migrations"; "seeder.recoveries.auto";
+    "seeder.recovery_time"; "seeder.sends.fenced"; "seeder.zombies.fenced" ]
+
+let overload_names =
+  [ "harvester.task0.offered"; "harvester.task0.shed"; "seed.0.degradation";
+    "seed.1.degradation"; "seed.2.degradation"; "seed.3.degradation";
+    "seed.4.degradation"; "seed.5.degradation"; "seeder.ctrl.breaker_dropped";
+    "seeder.ctrl.breaker_opens"; "seeder.ctrl.rate_limited";
+    "seeder.ctrl.retry_capped"; "seeder.pressure.events";
+    "seeder.pressure.switches" ]
+
+let soil_ids = [ 0; 1; 2; 5; 8; 11 ]
+
+let soil_names suffixes =
+  List.concat_map
+    (fun id -> List.map (Printf.sprintf "soil.%d.%s" id) suffixes)
+    soil_ids
+
+let default_soil_suffixes =
+  [ "asic.polls"; "delivery_latency"; "pcie.bytes"; "polls.completed";
+    "polls.dropped"; "polls.requested" ]
+
+let test_registry_names_pinned () =
+  let names config =
+    let w = Farm.World.create ~seed:7 ~seeder_config:config () in
+    (match Farm.World.deploy_catalog_task w "heavy-hitter" with
+    | Ok _ -> ()
+    | Error m -> Alcotest.failf "deploy heavy-hitter: %s" m);
+    Farm.World.background_traffic ~flows:16 w;
+    Farm.World.run ~until:0.3 w;
+    Registry.names (Engine.metrics w.Farm.World.engine)
+  in
+  let sorted l = List.sort String.compare l in
+  let default = default_names @ soil_names default_soil_suffixes in
+  Alcotest.(check (list string)) "default config" (sorted default)
+    (names Seeder.default_config);
+  Alcotest.(check (list string)) "overload armed"
+    (sorted
+       (default @ overload_names
+       @ soil_names [ "polls.shed"; "pressure" ]))
+    (names Seeder.overload_defaults)
+
 let () =
   Alcotest.run "farm_runtime"
     [ ( "models",
@@ -1788,4 +1948,8 @@ let () =
             test_breaker_brownout_no_migration_storm;
           Alcotest.test_case "shed allocation pinned" `Quick
             test_shed_allocation_pinned ]
-        @ qsuite [ prop_harvester_fencing; prop_shedding_matches_oracle ] ) ]
+        @ qsuite [ prop_harvester_fencing; prop_shedding_matches_oracle ] );
+      ( "registry",
+        [ Alcotest.test_case "accessors read the registry" `Quick
+            test_accessors_read_registry;
+          Alcotest.test_case "names pinned" `Quick test_registry_names_pinned ] ) ]

@@ -218,8 +218,20 @@ let test_slowloris_end_to_end () =
   Traffic.slowloris engine fabric rng ~at:1. ~duration:8. ~victim
     ~connections:60;
   Engine.run ~until:8. engine;
-  Alcotest.(check bool) "slowloris reported" true
-    (Harvester.received_count (Seeder.harvester task) >= 1)
+  let reports = Harvester.received (Seeder.harvester task) in
+  Alcotest.(check bool) "slowloris reported" true (reports <> []);
+  (* each report carries the window's connection count, which crossed
+     connLimit (20) to trigger it *)
+  List.iter
+    (fun (_, _, v) ->
+      match v with
+      | Farm_almanac.Value.Num n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "reported %g connections >= connLimit" n)
+            true (n >= 20.)
+      | v ->
+          Alcotest.failf "unexpected report %s" (Farm_almanac.Value.to_string v))
+    reports
 
 let test_ddos_end_to_end () =
   let entry = Catalog.find "ddos" in
