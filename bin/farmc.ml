@@ -390,6 +390,19 @@ let tasks_cmd =
 
 (* ---------------- run ---------------- *)
 
+(* A generic anomaly so detection tasks have something to find: a SYN
+   flood on 10.2.1.9 and an elephant flow, both starting a third of the
+   way into the run. *)
+let inject_anomaly (world : World.t) ~duration =
+  let victim = Net.Ipaddr.of_string "10.2.1.9" in
+  Net.Traffic.syn_flood world.engine world.fabric world.rng
+    ~at:(duration /. 3.) ~duration:(duration /. 2.) ~victim
+    ~rate_per_source:200_000. ~sources:60;
+  ignore
+    (Net.Traffic.heavy_hitter world.engine world.fabric world.rng
+       ~at:(duration /. 3.) ~rate:2e7 ()
+      : int option ref)
+
 let run_cmd =
   let task_arg =
     Arg.(required & pos 0 (some string) None & info [] ~docv:"TASK")
@@ -439,15 +452,7 @@ let run_cmd =
       (List.length (Runtime.Seeder.seeds world.seeder task))
       (List.length (Net.Topology.switches world.topology));
     World.background_traffic ~flows:50 world;
-    (* a generic anomaly so detection tasks have something to find *)
-    let victim = Net.Ipaddr.of_string "10.2.1.9" in
-    Net.Traffic.syn_flood world.engine world.fabric world.rng
-      ~at:(duration /. 3.) ~duration:(duration /. 2.) ~victim
-      ~rate_per_source:200_000. ~sources:60;
-    let _ =
-      Net.Traffic.heavy_hitter world.engine world.fabric world.rng
-        ~at:(duration /. 3.) ~rate:2e7 ()
-    in
+    inject_anomaly world ~duration;
     World.run ~until:duration world;
     let h = Runtime.Seeder.harvester task in
     Printf.printf "simulated %.1fs: %d harvester message(s)\n" duration
@@ -611,14 +616,7 @@ let trace_cmd =
         exit 1
     | Ok _task ->
         World.background_traffic ~flows:50 world;
-        let victim = Net.Ipaddr.of_string "10.2.1.9" in
-        Net.Traffic.syn_flood world.engine world.fabric world.rng
-          ~at:(duration /. 3.) ~duration:(duration /. 2.) ~victim
-          ~rate_per_source:200_000. ~sources:60;
-        let _ =
-          Net.Traffic.heavy_hitter world.engine world.fabric world.rng
-            ~at:(duration /. 3.) ~rate:2e7 ()
-        in
+        inject_anomaly world ~duration;
         World.run ~until:duration world;
         ( tr,
           Sim.Trace.to_chrome_json tr,

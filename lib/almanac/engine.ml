@@ -1,9 +1,9 @@
 (** The common interface of the two Almanac execution engines: the
     reference tree-walking interpreter ({!Interp}) and the slot-compiled
-    engine ({!Exec}).  The runtime picks one per seed
-    ([?engine] / [Seeder.config.engine], default [`Compiled]); the
-    interpreter remains selectable as the executable reference semantics
-    (see DESIGN.md, "Almanac execution pipeline"). *)
+    engine ({!Exec}).  Deployed seeds always run on {!Exec}; this module
+    lets the differential tests and the benchmark drive either engine
+    behind one signature, keeping the interpreter as the executable
+    reference semantics (see DESIGN.md, "Almanac execution pipeline"). *)
 
 type engine = [ `Interp | `Compiled ]
 

@@ -77,8 +77,6 @@ let fence t ~seed_id ~epoch =
     Hashtbl.replace t.seen seed_id (Ipc.Dedup.create ())
   end
 
-let fence_epoch t ~seed_id = Hashtbl.find_opt t.fences seed_id
-
 (* Admission control: drop stale-epoch reports, dedup (seed, epoch, seq).
    Reports from an epoch *newer* than the fence are accepted and raise the
    fence — the instantiate-side fence call and the first report race over

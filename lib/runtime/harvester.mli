@@ -74,9 +74,6 @@ type provenance = { p_seed : int; p_epoch : int; p_seq : int }
     corrupt task state.  Fences only move forward. *)
 val fence : t -> seed_id:int -> epoch:int -> unit
 
-(** Current fence epoch of a seed, if any reports/fences were seen. *)
-val fence_epoch : t -> seed_id:int -> int option
-
 (** Called by the runtime when a seed message arrives.  With [provenance],
     stale-epoch reports are dropped and (epoch, seq) duplicates — control
     retransmissions, ctrl-dup faults — are suppressed, making delivery

@@ -1,7 +1,7 @@
 module Value = Farm_almanac.Value
 module Ast = Farm_almanac.Ast
 module Interp = Farm_almanac.Interp
-module Aengine = Farm_almanac.Engine
+module Exec = Farm_almanac.Exec
 module Analysis = Farm_almanac.Analysis
 module Filter = Farm_net.Filter
 module Tcam = Farm_net.Tcam
@@ -12,7 +12,7 @@ type t = {
   sid : int;
   soil : Soil.t;
   epoch : int;  (* instance epoch, carried by every report (fencing) *)
-  mutable inst : Aengine.instance option;  (* None before wiring completes *)
+  mutable inst : Exec.t option;  (* None before wiring completes *)
   mutable res : float array;
   polls : Analysis.poll_summary list;
   mutable subs : (string * Soil.subscription list) list;  (* per trigger *)
@@ -46,10 +46,9 @@ let inst t =
   | Some i -> i
   | None -> failwith "Seed_exec: machine engine not initialized"
 
-let engine_kind t = Aengine.kind (inst t)
-let machine_name t = (Aengine.machine (inst t)).Ast.mname
-let state t = Aengine.current_state (inst t)
-let var t name = Aengine.var (inst t) name
+let machine_name t = (Exec.machine (inst t)).Ast.mname
+let state t = Exec.current_state (inst t)
+let var t name = Exec.var (inst t) name
 let transitions t = t.transitions
 let is_alive t = t.alive
 
@@ -77,7 +76,7 @@ let subscribe t (p : Analysis.poll_summary) =
   (* resolved once per subscription, not per event: the handler CPU cost
      and the trigger's dispatch entry *)
   let base_cost = (Soil.config t.soil).cpu.handler_base_cost in
-  let fire_trigger = Aengine.prepare_trigger (inst t) p.poll_name in
+  let fire_trigger = Exec.prepare_trigger (inst t) p.poll_name in
   let fire value =
     if t.alive then begin
       Soil.charge_cpu t.soil base_cost;
@@ -149,13 +148,8 @@ let on_pressure t ~high =
 let on_poll_drop t n =
   t.poll_drops <- t.poll_drops + n;
   if t.adaptive <> [] && Soil.overload_enabled t.soil then begin
-    let gap =
-      match (Soil.config t.soil).overload with
-      | Some ov -> ov.pressure_interval
-      | None -> 0.05
-    in
     let now = Soil.now t.soil in
-    if now -. t.last_drop_backoff >= gap then begin
+    if now -. t.last_drop_backoff >= Soil.pressure_interval then begin
       t.last_drop_backoff <- now;
       set_rate_scale t (Overload.back_off t.rate_scale)
     end
@@ -204,7 +198,7 @@ let value_of_installed (e : Tcam.installed) =
         ("bytes", Value.Num e.counters.bytes);
         ("packets", Value.Num e.counters.packets) ] )
 
-let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
+let deploy ~soil ~program ~machine ?(externals = [])
     ?(builtins = []) ?restore ?(epoch = 0) ?(adaptive = []) ~resources ~polls
     ~send ~seed_id () =
   let t =
@@ -327,7 +321,7 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
                       ~k0:!k_seed seed_id
                       ~k1:!k_state (Trace.intern tr st))) }
   in
-  let i = Aengine.create ~engine ~externals ~program ~machine host in
+  let i = Exec.create ~externals ~program ~machine host in
   t.inst <- Some i;
   Soil.attach_seed soil seed_id;
   (* drop notifications are always wired (per-seed attribution of the
@@ -351,14 +345,14 @@ let deploy ~soil ~program ~machine ?(engine = `Compiled) ?(externals = [])
   end;
   t.subs <- List.map (fun p -> (p.Analysis.poll_name, subscribe t p)) polls;
   (match restore with
-  | Some (vars, state) -> Aengine.restore i ~vars ~state
-  | None -> Aengine.start i);
+  | Some (vars, state) -> Exec.restore i ~vars ~state
+  | None -> Exec.start i);
   t
 
 let set_resources t res =
   t.res <- Array.copy res;
   resubscribe_all t;
-  Aengine.realloc (inst t)
+  Exec.realloc (inst t)
 
 (* Deliver an inbound control message.  [msg_id] identifies the logical
    message across retransmissions and ctrl-dup copies: repeats are dropped
@@ -367,9 +361,9 @@ let deliver ?msg_id t ~from v =
   let fresh =
     match msg_id with Some id -> Ipc.Dedup.register t.dedup id | None -> true
   in
-  if fresh && t.alive then ignore (Aengine.deliver (inst t) ~from v)
+  if fresh && t.alive then ignore (Exec.deliver (inst t) ~from v)
 
-let snapshot t = Aengine.snapshot (inst t)
+let snapshot t = Exec.snapshot (inst t)
 
 let destroy t =
   t.alive <- false;

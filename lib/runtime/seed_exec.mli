@@ -14,16 +14,14 @@ type t
     from the allocated [resources] via the ival analysis) and enters the
     initial state.  [send] routes outgoing messages (wired by the seeder).
     [restore] resumes from a migrated snapshot instead of a fresh start.
-    [engine] selects the execution engine: the slot-compiled [`Compiled]
-    (default) or the reference interpreter [`Interp].  [adaptive] names
-    the poll variables whose period the seed may stretch in degraded mode
-    (AIMD back-off under soil pressure; only effective when the soil runs
-    overload protection). *)
+    The machine runs on the slot-compiled engine ([Farm_almanac.Exec]).
+    [adaptive] names the poll variables whose period the seed may stretch
+    in degraded mode (AIMD back-off under soil pressure; only effective
+    when the soil runs overload protection). *)
 val deploy :
   soil:Soil.t ->
   program:Ast.program ->
   machine:string ->
-  ?engine:Farm_almanac.Engine.engine ->
   ?externals:(string * Value.t) list ->
   ?builtins:(string * (Value.t list -> Value.t)) list ->
   ?restore:(string * Value.t) list * string ->
@@ -48,9 +46,6 @@ val alloc_seq : t -> int
 
 (** Inbound control messages suppressed as duplicates (same [msg_id]). *)
 val duplicates_dropped : t -> int
-
-(** Which execution engine this seed runs on. *)
-val engine_kind : t -> Farm_almanac.Engine.engine
 
 val machine_name : t -> string
 val node : t -> int

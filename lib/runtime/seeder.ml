@@ -26,23 +26,27 @@ type ctrl_protection = {
   rate_limit : float;  (* control sends per second (token refill rate) *)
   burst : float;  (* bucket depth: sends admitted back-to-back *)
   breaker_threshold : int;  (* consecutive failures before opening *)
-  breaker_cooldown : float;  (* open duration before the half-open probe *)
   max_inflight_retries : int;  (* per-switch bound on pending retries *)
-  retry_jitter : float;  (* max extra backoff, drawn from a keyed stream *)
 }
 
 let default_protection =
   { rate_limit = 2000.; burst = 64.; breaker_threshold = 5;
-    breaker_cooldown = 50e-3; max_inflight_retries = 8; retry_jitter = 1e-3 }
+    max_inflight_retries = 8 }
+
+let breaker_cooldown = 50e-3  (* open duration before the half-open probe *)
+let retry_jitter = 1e-3  (* max extra backoff, drawn from a keyed stream *)
+
+(* Fixed costs of the control plane (§II-B, §V). *)
+let control_latency = 250e-6  (* DC-internal RTT/2 to the controller *)
+let message_overhead_bytes = 64.  (* framing per control message *)
+let migration_time = 5e-3  (* seed state-transfer duration *)
+let retry_backoff = 1e-3  (* first retransmission backoff, doubles per try *)
+let max_retries = 5
+let checkpoint_full_every = 4  (* the rest are deltas *)
+let ctrl_bandwidth_bps = 1e9  (* checkpoint bytes are costed against it *)
 
 type config = {
   soil_config : Soil.config;
-  control_latency : float;
-  message_overhead_bytes : float;
-  migration_time : float;
-  engine : Farm_almanac.Engine.engine;
-  retry_backoff : float;
-  max_retries : int;
   refuse_conflicts : bool;
   verify_on_deploy : bool;
   (* self-healing control plane *)
@@ -50,8 +54,6 @@ type config = {
   heartbeat_interval : float;
   detection_timeout : float;
   checkpoint_interval : float;
-  checkpoint_full_every : int;
-  ctrl_bandwidth_bps : float;
   (* overload resilience; both [None] by default so the pre-overload
      behavior stays byte-identical *)
   ctrl_protection : ctrl_protection option;
@@ -60,20 +62,12 @@ type config = {
 
 let default_config =
   { soil_config = Soil.default_config;
-    control_latency = 250e-6;  (* DC-internal RTT/2 to the controller *)
-    message_overhead_bytes = 64.;
-    migration_time = 5e-3;
-    engine = `Compiled;
-    retry_backoff = 1e-3;
-    max_retries = 5;
     refuse_conflicts = false;
     verify_on_deploy = false;
     auto_heal = false;
     heartbeat_interval = 10e-3;
     detection_timeout = 35e-3;  (* > 3 missed beats at the default rate *)
     checkpoint_interval = 50e-3;
-    checkpoint_full_every = 4;
-    ctrl_bandwidth_bps = 1e9;
     ctrl_protection = None;
     harvester_overload = None }
 
@@ -182,9 +176,6 @@ type t = {
   ctrl_rng : Farm_sim.Rng.t Lazy.t;
   retransmissions : Metrics.Counter.t;
   lost_messages : Metrics.Counter.t;
-  (* utility the optimizer reported for the current placement; checked
-     against a from-scratch recomputation by the chaos suite *)
-  mutable reported_utility : float;
   (* conflict-detection profiles of deployed tasks, by task id *)
   mutable profiles : (int * Conflict.profile) list;
   (* every diagnostic (lint, conflicts) of the most recent deploy *)
@@ -226,11 +217,8 @@ let soils t =
   |> List.sort (fun a b -> Int.compare (Soil.node_id a) (Soil.node_id b))
 
 let set_ctrl_faults t f = t.ctrl <- f
-let ctrl_faults t = t.ctrl
 let retransmissions t = Metrics.Counter.count t.retransmissions
 let lost_messages t = Metrics.Counter.count t.lost_messages
-
-let task_name task = task.spec.ts_name
 
 let harvester task =
   match task.harvester with
@@ -278,7 +266,6 @@ let current_utility t = Model.total_utility (instance_stub t) t.assignments
 
 let placement_instance = instance_stub
 let current_assignments t = t.assignments
-let reported_utility t = t.reported_utility
 
 let collector_bytes t = Metrics.Counter.value t.collector_bytes
 let collector_messages t = Metrics.Counter.count t.collector_messages
@@ -346,7 +333,7 @@ let breaker_of ov node =
   | None ->
       let b =
         Overload.Breaker.create ~threshold:ov.ovp.breaker_threshold
-          ~cooldown:ov.ovp.breaker_cooldown
+          ~cooldown:breaker_cooldown
       in
       Hashtbl.replace ov.breakers node b;
       b
@@ -370,10 +357,10 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
   let c = t.ctrl in
   let jitter () =
     match (t.ov, key) with
-    | Some ov, Some k when ov.ovp.retry_jitter > 0. ->
+    | Some ov, Some k ->
         Farm_sim.Rng.uniform
           (Farm_sim.Rng.stream ov.jitter_rng ((k * 8) + tries))
-          0. ov.ovp.retry_jitter
+          0. retry_jitter
     | _ -> 0.
   in
   let retry_slot () =
@@ -407,7 +394,7 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
     | _ -> ()
   in
   let resend () =
-    if tries >= t.cfg.max_retries then begin
+    if tries >= max_retries then begin
       Metrics.Counter.incr t.lost_messages;
       trace_instant t ~name:"ctrl_lost" []
     end
@@ -423,10 +410,10 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
       Metrics.Counter.incr t.retransmissions;
       trace_instant t ~name:"ctrl_retry" [ ("try", Trace.I (tries + 1)) ];
       let backoff =
-        (t.cfg.retry_backoff *. (2. ** float_of_int tries)) +. jitter ()
+        (retry_backoff *. (2. ** float_of_int tries)) +. jitter ()
       in
       Engine.schedule t.engine
-        ~delay:(t.cfg.control_latency +. c.delay +. backoff)
+        ~delay:(control_latency +. c.delay +. backoff)
         (fun _ ->
           retry_slot_done ();
           control_send t ~tries:(tries + 1) ?dest ?key deliver)
@@ -444,9 +431,8 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
       let dup =
         c.dup > 0. && Farm_sim.Rng.bernoulli (Lazy.force t.ctrl_rng) c.dup
       in
-      trace_span t ~name:"ctrl_send" ~dur:(t.cfg.control_latency +. c.delay)
-        [];
-      Engine.schedule t.engine ~delay:(t.cfg.control_latency +. c.delay)
+      trace_span t ~name:"ctrl_send" ~dur:(control_latency +. c.delay) [];
+      Engine.schedule t.engine ~delay:(control_latency +. c.delay)
         (fun _ ->
           match deliver () with
           | `Delivered -> breaker_success ()
@@ -460,7 +446,7 @@ let rec control_send t ?(tries = 0) ?dest ?key deliver =
       if dup then
         (* duplicated in flight: second copy, delivery outcome ignored *)
         Engine.schedule t.engine
-          ~delay:(t.cfg.control_latency +. c.delay +. t.cfg.retry_backoff)
+          ~delay:(control_latency +. c.delay +. retry_backoff)
           (fun _ -> ignore (deliver () : [ `Delivered | `Absent | `Gone ]))
     end
   in
@@ -503,16 +489,16 @@ let oneshot_send t ?(extra = 0.) deliver =
     let dup =
       c.dup > 0. && Farm_sim.Rng.bernoulli (Lazy.force t.ctrl_rng) c.dup
     in
-    let delay = t.cfg.control_latency +. c.delay +. extra in
+    let delay = control_latency +. c.delay +. extra in
     Engine.schedule t.engine ~delay (fun _ -> deliver ());
     if dup then
-      Engine.schedule t.engine ~delay:(delay +. t.cfg.retry_backoff)
+      Engine.schedule t.engine ~delay:(delay +. retry_backoff)
         (fun _ -> deliver ())
   end
 
 let deliver_to_harvester t task ~from_switch ~prov v =
   Farm_sim.Metrics.Counter.add t.collector_bytes
-    (value_bytes v +. t.cfg.message_overhead_bytes);
+    (value_bytes v +. message_overhead_bytes);
   Metrics.Counter.incr t.collector_messages;
   (* the breaker guards the per-switch channel in both directions; the
      message counter doubles as the jitter-stream key *)
@@ -631,11 +617,10 @@ let ship_checkpoint t (r : reg) =
       let vars, state = Seed_exec.snapshot exec in
       let seq = r.r_next_ck in
       r.r_next_ck <- seq + 1;
-      let full_every = max 1 t.cfg.checkpoint_full_every in
       let ck_full, ck_vars, ck_removed =
         match r.r_last_shipped with
         | None -> (true, vars, [])
-        | Some _ when seq mod full_every = 0 -> (true, vars, [])
+        | Some _ when seq mod checkpoint_full_every = 0 -> (true, vars, [])
         | Some base ->
             let changed, removed = Checkpoint.delta ~base vars in
             (false, changed, removed)
@@ -652,9 +637,8 @@ let ship_checkpoint t (r : reg) =
       (* serializing state burns management CPU on the switch *)
       Soil.charge_cpu (Seed_exec.soil exec) (2e-6 +. (bytes *. 5e-9));
       (* shipping it competes for control-channel bandwidth *)
-      let extra = bytes *. 8. /. t.cfg.ctrl_bandwidth_bps in
-      trace_span t ~name:"checkpoint"
-        ~dur:(t.cfg.control_latency +. extra)
+      let extra = bytes *. 8. /. ctrl_bandwidth_bps in
+      trace_span t ~name:"checkpoint" ~dur:(control_latency +. extra)
         [ ("seed", Trace.I r.r_spec.seed_id); ("bytes", Trace.F bytes) ];
       oneshot_send t ~extra (fun () -> receive_checkpoint t r ck)
 
@@ -687,10 +671,10 @@ let instantiate t (r : reg) (a : Model.assignment) ~restore =
     | None -> stored_checkpoint r  (* crash recovery: last checkpoint *)
   in
   let exec =
-    Seed_exec.deploy ~soil:soilv ~program ~engine:t.cfg.engine
-      ~machine:r.r_machine ~externals:r.r_externals
-      ~builtins:r.r_task.spec.ts_builtins ?restore ~epoch:r.r_epoch
-      ~adaptive:r.r_task.spec.ts_adaptive ~resources:a.a_res ~polls:r.r_polls
+    Seed_exec.deploy ~soil:soilv ~program ~machine:r.r_machine
+      ~externals:r.r_externals ~builtins:r.r_task.spec.ts_builtins ?restore
+      ~epoch:r.r_epoch ~adaptive:r.r_task.spec.ts_adaptive ~resources:a.a_res
+      ~polls:r.r_polls
       ~send:(fun exec target v -> seed_send t r.r_task exec target v)
       ~seed_id:r.r_spec.seed_id ()
   in
@@ -724,14 +708,14 @@ let apply_placement t (placement : Model.placement) =
       | Some exec, Some a when Seed_exec.node exec <> a.a_node ->
           (* migrate: snapshot, transfer state, resume at the target *)
           let snapshot = Seed_exec.snapshot exec in
-          trace_span t ~name:"migrate" ~dur:t.cfg.migration_time
+          trace_span t ~name:"migrate" ~dur:migration_time
             [ ("seed", Trace.I seed_id);
               ("from", Trace.I (Seed_exec.node exec));
               ("to", Trace.I a.a_node) ];
           retire_exec r;
           r.r_migrating <- true;
           Metrics.Counter.incr t.migrations;
-          Engine.schedule t.engine ~delay:t.cfg.migration_time (fun _ ->
+          Engine.schedule t.engine ~delay:migration_time (fun _ ->
               r.r_migrating <- false;
               (* the fabric may have changed while the state was in
                  flight: land on the seed's *current* assignment, and only
@@ -757,7 +741,6 @@ let apply_placement t (placement : Model.placement) =
       | None, _ -> ())
     (sorted_regs t);
   t.assignments <- new_assignments;
-  t.reported_utility <- placement.utility;
   (* task placement flags *)
   let tasks = Hashtbl.create 8 in
   Hashtbl.iter
@@ -953,8 +936,10 @@ let create ?(config = default_config) engine fabric =
   let c = Metrics.Registry.counter reg in
   (* built before [ctrl_rng] is ever forced, so the enabled-mode stream
      layout is fixed: one split for jitter, then the lazy ctrl split.
-     Overload instrumentation registers only when protection is on, so
-     default runs publish exactly the pre-overload registry. *)
+     Overload instrumentation registers only with the layer it counts
+     (control-channel protection, soil pressure monitors), so default runs
+     publish exactly the pre-overload registry. *)
+  let soil_pressure = Option.is_some config.soil_config.overload in
   let ov =
     Option.map
       (fun ovp ->
@@ -981,7 +966,7 @@ let create ?(config = default_config) engine fabric =
       ctrl = perfect_ctrl;
       ctrl_rng = lazy (Farm_sim.Rng.split (Engine.rng engine));
       retransmissions = c "seeder.control.retransmissions";
-      lost_messages = c "seeder.control.lost"; reported_utility = 0.;
+      lost_messages = c "seeder.control.lost";
       profiles = []; last_diags = []; zombies = [];
       detection_latency =
         Metrics.Registry.histogram reg "seeder.detection_latency";
@@ -998,8 +983,8 @@ let create ?(config = default_config) engine fabric =
       fenced_sends = c "seeder.sends.fenced";
       ov; pressured = Hashtbl.create 8;
       pressure_events =
-        (if Option.is_none ov then Metrics.Counter.create ()
-         else c "seeder.pressure.events");
+        (if soil_pressure then c "seeder.pressure.events"
+         else Metrics.Counter.create ());
       storm_reports = 0 }
   in
   (* soils running the overload monitor report their pressure flips up *)
@@ -1018,17 +1003,18 @@ let create ?(config = default_config) engine fabric =
             end))
     soils;
   (* derived values are sampled at snapshot time *)
+  let g name f =
+    Metrics.Registry.gauge_fn reg name (fun () -> float_of_int (f ()))
+  in
   (match t.ov with
   | None -> ()
   | Some ov ->
-      let g name f =
-        Metrics.Registry.gauge_fn reg name (fun () -> float_of_int (f ()))
-      in
       g "seeder.ctrl.breaker_opens" (fun () ->
           Hashtbl.fold
             (fun _ b acc -> acc + Overload.Breaker.opens b)
-            ov.breakers 0);
-      g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured));
+            ov.breakers 0));
+  if soil_pressure then
+    g "seeder.pressure.switches" (fun () -> Hashtbl.length t.pressured);
   if config.auto_heal then install_healing t;
   t
 
@@ -1312,7 +1298,6 @@ let undeploy t task =
     List.filter
       (fun (a : Model.assignment) -> Hashtbl.mem t.registry a.a_seed)
       t.assignments;
-  t.reported_utility <- Model.total_utility (instance_stub t) t.assignments;
   t.profiles <- List.filter (fun (id, _) -> id <> task.task_id) t.profiles;
   task.placed <- false
 
@@ -1321,15 +1306,6 @@ let undeploy t task =
 (* ------------------------------------------------------------------ *)
 
 let healing_enabled t = t.cfg.auto_heal
-
-let suspicion_level t node =
-  if not t.cfg.auto_heal then 0
-  else
-    match Hashtbl.find_opt t.last_seen node with
-    | None -> 0
-    | Some seen ->
-        let gap = (Engine.now t.engine -. seen) /. t.cfg.heartbeat_interval in
-        max 0 (int_of_float gap - 1)
 
 (* registered seeds that hold an assignment but have no running instance
    and are not mid-migration — transiently non-empty between a crash and

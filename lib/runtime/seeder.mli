@@ -22,37 +22,33 @@ module Value := Farm_almanac.Value
 (** Control-channel protection knobs (overload resilience).  A global
     token bucket paces unicast control sends; a per-switch circuit breaker
     opens after [breaker_threshold] consecutive failures (loss or
-    recipient-away timeouts), rejects sends for [breaker_cooldown]
-    seconds, then admits one half-open probe; at most
-    [max_inflight_retries] retries per switch may be pending at once; and
-    retry backoffs carry up to [retry_jitter] seconds of extra delay drawn
-    from a per-message keyed rng stream (deterministic under replay).
-    Heartbeats bypass all of it — gating them would convert channel
-    congestion into false failure detections and migration storms. *)
+    recipient-away timeouts), rejects sends for 50 ms, then admits one
+    half-open probe; at most [max_inflight_retries] retries per switch may
+    be pending at once; and retry backoffs carry up to 1 ms of extra delay
+    drawn from a per-message keyed rng stream (deterministic under
+    replay).  Heartbeats bypass all of it — gating them would convert
+    channel congestion into false failure detections and migration
+    storms. *)
 type ctrl_protection = {
   rate_limit : float;
   burst : float;
   breaker_threshold : int;
-  breaker_cooldown : float;
   max_inflight_retries : int;
-  retry_jitter : float;
 }
 
 val default_protection : ctrl_protection
 
+(** One-way latency between a switch and the central components
+    (250 µs).  The control plane's other fixed costs: 64 B of framing per
+    control message, 5 ms to transfer a migrating seed's state, a 1 ms
+    retransmission backoff doubling over at most 5 retries, a full
+    checkpoint every 4th (the rest are deltas) and a 1 Gbit/s control
+    channel that checkpoint bytes are costed against.  Deployed seeds run
+    on the slot-compiled engine. *)
+val control_latency : float
+
 type config = {
   soil_config : Soil.config;
-  control_latency : float;
-      (** one-way latency between a switch and the central components *)
-  message_overhead_bytes : float;  (** framing per control message *)
-  migration_time : float;  (** seed state-transfer duration *)
-  engine : Farm_almanac.Engine.engine;
-      (** execution engine deployed seeds run on: the slot-compiled
-          [`Compiled] (default) or the reference interpreter [`Interp] *)
-  retry_backoff : float;
-      (** initial retransmission backoff for control messages whose
-          recipient is temporarily away (doubles per attempt) *)
-  max_retries : int;  (** retransmission attempts before giving up *)
   refuse_conflicts : bool;
       (** refuse deployment when cross-task conflict detection
           ([Farm_placement.Conflict]) reports [C3xx] warnings against
@@ -85,11 +81,6 @@ type config = {
       (** period of per-seed state checkpoints; one interval is the most
           state a crash can lose.  Smaller intervals cost control-channel
           bandwidth and switch CPU ({!checkpoint_bytes}). *)
-  checkpoint_full_every : int;
-      (** every n-th checkpoint is a full snapshot (the rest are deltas);
-          lost deltas leave the seeder's copy stale until the next full *)
-  ctrl_bandwidth_bps : float;
-      (** control-channel bandwidth checkpoints are costed against *)
   ctrl_protection : ctrl_protection option;
       (** [None] (default): unprotected control channel, byte-identical
           to the pre-overload behavior *)
@@ -214,7 +205,6 @@ val recover_switch : ?reoptimize:bool -> t -> int -> unit
 val failed_switches : t -> int list
 
 val set_ctrl_faults : t -> ctrl_faults -> unit
-val ctrl_faults : t -> ctrl_faults
 
 (** Control messages retransmitted / given up on so far. *)
 val retransmissions : t -> int
@@ -223,7 +213,6 @@ val lost_messages : t -> int
 
 (** {2 Introspection} *)
 
-val task_name : task -> string
 val harvester : task -> Harvester.t
 val is_placed : task -> bool
 
@@ -244,9 +233,6 @@ val placement_instance : t -> Farm_placement.Model.instance
 
 val current_assignments : t -> Farm_placement.Model.assignment list
 
-(** Utility reported by the optimizer for the placement in force. *)
-val reported_utility : t -> float
-
 (** Raw (unfiltered) seed specs registered for the task, sorted by seed
     id. *)
 val seed_specs : t -> task -> Farm_placement.Model.seed_spec list
@@ -263,10 +249,6 @@ val migrations : t -> int
 (** {2 Self-healing introspection} *)
 
 val healing_enabled : t -> bool
-
-(** How many heartbeat intervals of silence the detector has accumulated
-    for a switch beyond the expected gap (0 = healthy or healing off). *)
-val suspicion_level : t -> int -> int
 
 (** Seeds that hold an assignment but have no running instance and are
     not mid-migration, sorted.  Transiently non-empty between a crash and

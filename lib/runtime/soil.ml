@@ -11,30 +11,33 @@ module Tcam = Farm_net.Tcam
    pressure to the co-located seeds and the seeder. *)
 type overload_config = {
   max_pcie_queue : int;  (* outstanding transfers before shedding *)
-  cpu_high : float;  (* utilization watermarks, fraction of capacity *)
-  cpu_low : float;
-  pcie_high : float;
-  pcie_low : float;
-  pressure_interval : float;  (* monitor period, seconds *)
 }
 
-let default_overload =
-  { max_pcie_queue = 16; cpu_high = 0.8; cpu_low = 0.5; pcie_high = 0.8;
-    pcie_low = 0.5; pressure_interval = 0.05 }
+let default_overload = { max_pcie_queue = 16 }
+
+(* Pressure monitor: utilization watermarks (fraction of capacity, with
+   hysteresis) and its period in seconds. *)
+let cpu_high = 0.8
+let cpu_low = 0.5
+let pcie_high = 0.8
+let pcie_low = 0.5
+let pressure_interval = 0.05
+
+(* Default path: polls that would wait longer than this on the bus are
+   dropped. *)
+let max_poll_queue_delay = 1.
 
 type config = {
   cpu : Cpu_model.t;
   scheme : Ipc.scheme;
   exec_model : Ipc.exec_model;
   aggregate_polls : bool;
-  max_poll_queue_delay : float;
   overload : overload_config option;
 }
 
 let default_config =
   { cpu = Cpu_model.default; scheme = Ipc.Shared_buffer;
-    exec_model = Ipc.Threads; aggregate_polls = true;
-    max_poll_queue_delay = 1.; overload = None }
+    exec_model = Ipc.Threads; aggregate_polls = true; overload = None }
 
 type sub_kind =
   | Poll of { subject : Filter.subject; deliver : float array -> unit }
@@ -90,7 +93,6 @@ let no_xfer =
   { x_bytes = 0.; x_issued = 0.; x_deliver = ignore; x_lost = ignore }
 
 type ov = {
-  ov_cfg : overload_config;
   ov_queue : xfer Pcie_queue.t;
   mutable ov_busy : bool;  (* a transfer is on the bus *)
   mutable ov_offered : int;
@@ -100,7 +102,6 @@ type ov = {
   mutable ov_last_cpu : float;  (* monitor window baselines *)
   mutable ov_last_pcie : float;
   mutable ov_pressured : bool;
-  ov_prio : (int, int) Hashtbl.t;  (* seed_id -> priority (default 0) *)
   ov_pressure_hooks : (int, bool -> unit) Hashtbl.t;  (* seed hooks *)
   mutable ov_listener : (node:int -> high:bool -> unit) option;  (* seeder *)
   ov_shed : Metrics.Counter.t;
@@ -166,7 +167,6 @@ type t = {
 (* --- pressure monitor (overload mode only) --- *)
 
 let ov_pressure_tick t ov =
-  let cfg = ov.ov_cfg in
   let cores = t.cfg.cpu.cores in
   let busy = Cpu_model.busy_seconds t.usage in
   (* a [reset_stats] between ticks rewinds the busy clock; fall back to
@@ -175,12 +175,12 @@ let ov_pressure_tick t ov =
     if busy >= ov.ov_last_cpu then busy -. ov.ov_last_cpu else busy
   in
   ov.ov_last_cpu <- busy;
-  let cpu_util = cpu_delta /. (cfg.pressure_interval *. cores) in
+  let cpu_util = cpu_delta /. (pressure_interval *. cores) in
   let pcie_delta = ov.ov_pcie_busy -. ov.ov_last_pcie in
   ov.ov_last_pcie <- ov.ov_pcie_busy;
-  let pcie_util = pcie_delta /. cfg.pressure_interval in
-  let high = cpu_util > cfg.cpu_high || pcie_util > cfg.pcie_high in
-  let low = cpu_util < cfg.cpu_low && pcie_util < cfg.pcie_low in
+  let pcie_util = pcie_delta /. pressure_interval in
+  let high = cpu_util > cpu_high || pcie_util > pcie_high in
+  let low = cpu_util < cpu_low && pcie_util < pcie_low in
   let flip name =
     match Engine.tracer t.engine with
     | None -> ()
@@ -220,7 +220,7 @@ let install_pressure_monitor t =
   | None -> ()
   | Some ov ->
       ignore
-        (Engine.every t.engine ~period:ov.ov_cfg.pressure_interval (fun _ ->
+        (Engine.every t.engine ~period:pressure_interval (fun _ ->
              ov_pressure_tick t ov)
           : Engine.timer)
 
@@ -236,13 +236,11 @@ let create ?(config = default_config) engine sw =
     | None -> None
     | Some ovc ->
         Some
-          { ov_cfg = ovc;
-            ov_queue =
+          { ov_queue =
               Pcie_queue.create ~capacity:ovc.max_pcie_queue no_xfer;
             ov_busy = false; ov_offered = 0; ov_completed = 0;
             ov_qpeak = 0; ov_pcie_busy = 0.; ov_last_cpu = 0.;
-            ov_last_pcie = 0.;
-            ov_pressured = false; ov_prio = Hashtbl.create 8;
+            ov_last_pcie = 0.; ov_pressured = false;
             ov_pressure_hooks = Hashtbl.create 8; ov_listener = None;
             ov_shed = c "polls.shed";
             ov_pressure = Metrics.Registry.gauge reg (pre ^ "pressure") }
@@ -313,9 +311,7 @@ let detach_seed t id =
   t.seeds <- go t.seeds;
   Hashtbl.remove t.drop_hooks id;
   match t.ov with
-  | Some ov ->
-      Hashtbl.remove ov.ov_pressure_hooks id;
-      Hashtbl.remove ov.ov_prio id
+  | Some ov -> Hashtbl.remove ov.ov_pressure_hooks id
   | None -> ()
 
 let seed_count t = List.length t.seeds
@@ -354,9 +350,6 @@ let overload_stats t =
             Pcie_queue.length ov.ov_queue + (if ov.ov_busy then 1 else 0);
           o_queue_peak = ov.ov_qpeak }
 
-let under_pressure t =
-  match t.ov with Some ov -> ov.ov_pressured | None -> false
-
 let set_pcie_factor t f =
   if f <= 0. then invalid_arg "Soil.set_pcie_factor: factor must be > 0";
   t.pcie_factor <- f
@@ -370,29 +363,10 @@ let effective_pcie_bps t =
   if t.pcie_factor = 1. then caps.pcie_bps else caps.pcie_bps /. t.pcie_factor
 
 let on_poll_drop t ~seed_id f = Hashtbl.replace t.drop_hooks seed_id f
-let remove_poll_drop_hook t ~seed_id = Hashtbl.remove t.drop_hooks seed_id
-
-let set_seed_priority t ~seed_id prio =
-  match t.ov with
-  | Some ov -> Hashtbl.replace ov.ov_prio seed_id prio
-  | None -> ()
-
-(* [find_opt]: most seeds keep the default, and a miss allocates
-   nothing *)
-let prio_of ov seed_id =
-  match Hashtbl.find_opt ov.ov_prio seed_id with Some p -> p | None -> 0
-
-let seed_priority t seed_id =
-  match t.ov with Some ov -> prio_of ov seed_id | None -> 0
 
 let on_pressure t ~seed_id f =
   match t.ov with
   | Some ov -> Hashtbl.replace ov.ov_pressure_hooks seed_id (fun high -> f ~high)
-  | None -> ()
-
-let remove_pressure_hook t ~seed_id =
-  match t.ov with
-  | Some ov -> Hashtbl.remove ov.ov_pressure_hooks seed_id
   | None -> ()
 
 let set_pressure_listener t f =
@@ -477,15 +451,10 @@ let rec ov_pump t ov =
         ov_pump t ov)
   end
 
-(* A request's priority is the highest of its owning seeds'; an ownerless
-   one takes seed -1's. *)
-let rec max_prio ov acc = function
-  | [] -> acc
-  | sid :: rest -> max_prio ov (Int.max acc (prio_of ov sid)) rest
-
 let ov_enqueue t ov ~bytes ~seeds ~lost k =
   ov.ov_offered <- ov.ov_offered + 1;
-  let prio = max_prio ov min_int (if seeds = [] then [ -1 ] else seeds) in
+  (* an ownerless request (no seed left to serve) is shed first *)
+  let prio = if seeds = [] then -1 else 0 in
   let q = ov.ov_queue in
   let req =
     Pcie_queue.request q ~prio ~seeds
@@ -515,7 +484,7 @@ let pcie_transfer t ~bytes ~seeds ~lost k =
   | None ->
       let now = Engine.now t.engine in
       let start = Float.max now t.pcie_free_at in
-      if start -. now > t.cfg.max_poll_queue_delay then lost Dropped
+      if start -. now > max_poll_queue_delay then lost Dropped
       else begin
         let dur = bytes *. 8. /. effective_pcie_bps t in
         t.pcie_free_at <- start +. dur;
@@ -564,8 +533,6 @@ let ipc_deliver ?issued t f =
 let set_frozen t on =
   t.frozen <- on;
   if not on then t.frozen_cache <- []
-
-let is_frozen t = t.frozen
 
 let glitch ?(polls = 1) t = t.glitch_budget <- t.glitch_budget + polls
 

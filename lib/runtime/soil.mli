@@ -18,30 +18,29 @@
 
 module Filter := Farm_net.Filter
 
-(** Overload protection knobs (all watermarks are utilization fractions
-    of the respective capacity). *)
+(** Overload protection knobs.  The pressure monitor's watermarks are
+    fixed: pressure is asserted above 80 % CPU or PCIe utilization and
+    cleared once both drop below 50 % (hysteresis), sampled every
+    {!pressure_interval}. *)
 type overload_config = {
   max_pcie_queue : int;
       (** waiting PCIe transfers admitted before the shedding policy
           picks a victim *)
-  cpu_high : float;  (** pressure asserted above this CPU utilization *)
-  cpu_low : float;  (** ... and cleared below this one (hysteresis) *)
-  pcie_high : float;
-  pcie_low : float;
-  pressure_interval : float;  (** monitor period, seconds *)
 }
 
 val default_overload : overload_config
 
+(** Pressure-monitor period in seconds (one AIMD tick). *)
+val pressure_interval : float
+
+(** Without [overload], polls that would wait longer than 1 s on the PCIe
+    bus are dropped (counted in [polls_dropped]); with it, the bounded
+    queue takes over. *)
 type config = {
   cpu : Cpu_model.t;
   scheme : Ipc.scheme;
   exec_model : Ipc.exec_model;
   aggregate_polls : bool;
-  max_poll_queue_delay : float;
-      (** polls that would wait longer than this on the PCIe bus are
-          dropped (counted in [polls_dropped]); superseded by the bounded
-          queue when [overload] is set *)
   overload : overload_config option;
       (** [None] (the default) keeps the pre-overload behavior
           byte-identical *)
@@ -68,6 +67,7 @@ val engine : t -> Farm_sim.Engine.t
 (** Register a seed instance (affects IPC latency, Fig. 10). *)
 val attach_seed : t -> int -> unit
 
+(** Unregister one instance of a seed and drop its drop/pressure hooks. *)
 val detach_seed : t -> int -> unit
 val seed_count : t -> int
 
@@ -125,15 +125,6 @@ type overload_stats = {
 
 val overload_stats : t -> overload_stats option
 
-(** Is the pressure flag currently asserted? *)
-val under_pressure : t -> bool
-
-(** Shedding prefers low-priority seeds (default priority 0).  No-op when
-    protection is off. *)
-val set_seed_priority : t -> seed_id:int -> int -> unit
-
-val seed_priority : t -> int -> int
-
 (** [on_poll_drop t ~seed_id f] registers a synchronous callback invoked
     with the number of this seed's polls lost whenever they are dropped
     (queue-too-long) or shed (overload policy); each lost poll is
@@ -141,14 +132,10 @@ val seed_priority : t -> int -> int
     [soil.<node>.polls.dropped.seed<id>]. *)
 val on_poll_drop : t -> seed_id:int -> (int -> unit) -> unit
 
-val remove_poll_drop_hook : t -> seed_id:int -> unit
-
 (** Per-seed backpressure notification: [f ~high:true] on every monitor
     tick above the high watermark, [f ~high:false] on every tick below
     the low one.  No-op when protection is off. *)
 val on_pressure : t -> seed_id:int -> (high:bool -> unit) -> unit
-
-val remove_pressure_hook : t -> seed_id:int -> unit
 
 (** The seeder's global pressure listener (one per soil). *)
 val set_pressure_listener : t -> (node:int -> high:bool -> unit) -> unit
@@ -177,7 +164,6 @@ val get_tcam_rule : t -> pattern:Filter.t -> Farm_net.Tcam.installed option
     rng, so runs stay reproducible). *)
 
 val set_frozen : t -> bool -> unit
-val is_frozen : t -> bool
 val glitch : ?polls:int -> t -> unit
 
 (** {2 Accounting} *)

@@ -215,7 +215,7 @@ let test_soil_cancel_frees_handler () =
 let test_soil_shed_counted_once () =
   let config =
     { Soil.default_config with
-      overload = Some { Soil.default_overload with max_pcie_queue = 2 } }
+      overload = Some { Soil.max_pcie_queue = 2 } }
   in
   let engine, sw, soil = make_soil ~config () in
   Switch_model.add_flow sw ~time:0. ~flow_id:1
@@ -955,8 +955,9 @@ machine Counting {
 
 let test_checkpoint_restore_engine_equivalence () =
   (* run a seed, checkpoint it through the wire codec, restore the decoded
-     state into a fresh interpreter AND a fresh compiled instance: both
-     resume from the same point and stay in lockstep *)
+     state into a fresh compiled seed AND a reference interpreter on the
+     same soil: both resume from the same point and, fed the same polls,
+     stay in lockstep *)
   let program =
     Typecheck.check (Farm_almanac.Parser.program counting_source)
   in
@@ -966,19 +967,19 @@ let test_checkpoint_restore_engine_equivalence () =
     | Error m -> Alcotest.fail m
   in
   let resources = Array.make Farm_almanac.Analysis.n_resources 1. in
-  let fresh_exec ?restore engine_kind =
+  let fresh_exec ?restore () =
     let engine = Engine.create () in
     let sw = Switch_model.create ~id:0 ~ports:4 () in
     let soil = Soil.create engine sw in
     let exec =
-      Seed_exec.deploy ~soil ~program ~machine:"Counting" ~engine:engine_kind
-        ?restore ~resources ~polls
+      Seed_exec.deploy ~soil ~program ~machine:"Counting" ?restore ~resources
+        ~polls
         ~send:(fun _ _ _ -> ())
         ~seed_id:1 ()
     in
-    (engine, exec)
+    (engine, soil, exec)
   in
-  let engine0, exec0 = fresh_exec `Compiled in
+  let engine0, _, exec0 = fresh_exec () in
   Engine.run ~until:0.5 engine0;
   let vars, state = Seed_exec.snapshot exec0 in
   (* through the wire format *)
@@ -988,24 +989,42 @@ let test_checkpoint_restore_engine_equivalence () =
   in
   let ck = Checkpoint.decode (Checkpoint.encode ck) in
   let restore = (ck.Checkpoint.ck_vars, ck.Checkpoint.ck_state) in
-  let count exec =
-    match Seed_exec.var exec "count" with
+  let count = function
     | Some (Value.Num n) -> n
     | _ -> Alcotest.fail "count unbound"
   in
-  let c0 = count exec0 in
+  let c0 = count (Seed_exec.var exec0 "count") in
   Alcotest.(check bool) "accumulated state" true (c0 > 10.);
-  let engine_i, exec_i = fresh_exec ~restore `Interp in
-  let engine_c, exec_c = fresh_exec ~restore `Compiled in
-  Alcotest.(check (float 0.)) "interp resumes at checkpoint" c0 (count exec_i);
-  Alcotest.(check (float 0.)) "compiled resumes at checkpoint" c0
-    (count exec_c);
-  Engine.run ~until:0.5 engine_i;
-  Engine.run ~until:0.5 engine_c;
-  Alcotest.(check (float 0.)) "lockstep after resume" (count exec_i)
-    (count exec_c);
-  Alcotest.(check bool) "both progressed" true (count exec_i > c0);
-  Alcotest.(check string) "same machine state" (Seed_exec.state exec_i)
+  let engine, soil, exec_c = fresh_exec ~restore () in
+  let interp =
+    Farm_almanac.Engine.create ~engine:`Interp ~program ~machine:"Counting"
+      Farm_almanac.Host.null_host
+  in
+  Farm_almanac.Engine.restore interp ~vars:ck.Checkpoint.ck_vars
+    ~state:ck.Checkpoint.ck_state;
+  (* subscribed to the seed's subjects at the seed's period, the
+     interpreter shares its aggregated ASIC polls *)
+  List.iter
+    (fun (p : Farm_almanac.Analysis.poll_summary) ->
+      let period = 1. /. Farm_almanac.Analysis.poll_rate p.ival resources in
+      List.iter
+        (fun subject ->
+          ignore
+            (Soil.subscribe_poll soil ~seed_id:2 ~subject ~period (fun data ->
+                 Farm_almanac.Engine.fire_trigger interp p.poll_name
+                   (Value.Stats data))
+              : Soil.subscription))
+        p.subjects)
+    polls;
+  let count_i () = count (Farm_almanac.Engine.var interp "count") in
+  let count_c () = count (Seed_exec.var exec_c "count") in
+  Alcotest.(check (float 0.)) "interp resumes at checkpoint" c0 (count_i ());
+  Alcotest.(check (float 0.)) "compiled resumes at checkpoint" c0 (count_c ());
+  Engine.run ~until:0.5 engine;
+  Alcotest.(check (float 0.)) "lockstep after resume" (count_i ()) (count_c ());
+  Alcotest.(check bool) "both progressed" true (count_i () > c0);
+  Alcotest.(check string) "same machine state"
+    (Farm_almanac.Engine.current_state interp)
     (Seed_exec.state exec_c)
 
 (* -- idempotent control-message handling --------------------------- *)
@@ -1819,6 +1838,34 @@ let test_accessors_read_registry () =
       ("harvester sheds", Harvester.shed_count (Seeder.harvester roam));
       ("stale drops", Harvester.stale_dropped (Seeder.harvester roam)) ]
 
+(* The pressure listener runs whenever the soils run the overload
+   monitor, with or without control-channel protection; the registry must
+   show the flips it counts. *)
+let test_pressure_events_registered_without_ctrl_protection () =
+  let config =
+    { Seeder.default_config with
+      Seeder.soil_config =
+        { Soil.default_config with overload = Some Soil.default_overload } }
+  in
+  let engine = Engine.create ~seed:3 () in
+  let fabric = Fabric.create (Topology.linear ~n:2) in
+  let s = Seeder.create ~config engine fabric in
+  Alcotest.(check bool) "ctrl protection off" false
+    (Seeder.ctrl_protection_enabled s);
+  (* a burst of management-CPU work pushes one soil over the watermark
+     for one monitor tick *)
+  Engine.schedule engine ~delay:0.1 (fun _ ->
+      Soil.charge_cpu (List.hd (Seeder.soils s)) 1.);
+  Engine.run ~until:0.5 engine;
+  let reg = Engine.metrics engine in
+  Alcotest.(check bool) "pressure flipped" true (Seeder.pressure_events s > 0);
+  Alcotest.(check (option (float 0.))) "seeder.pressure.events"
+    (Some (float_of_int (Seeder.pressure_events s)))
+    (Registry.value reg "seeder.pressure.events");
+  Alcotest.(check (option (float 0.))) "seeder.pressure.switches"
+    (Some (float_of_int (List.length (Seeder.pressured_switches s))))
+    (Registry.value reg "seeder.pressure.switches")
+
 (* Registry names of a heavy-hitter world, recorded before the counts
    moved into the registry.  Default runs publish exactly the
    pre-overload registry; arming overload protection adds its own
@@ -1952,4 +1999,6 @@ let () =
       ( "registry",
         [ Alcotest.test_case "accessors read the registry" `Quick
             test_accessors_read_registry;
-          Alcotest.test_case "names pinned" `Quick test_registry_names_pinned ] ) ]
+          Alcotest.test_case "names pinned" `Quick test_registry_names_pinned;
+          Alcotest.test_case "soil-only pressure events" `Quick
+            test_pressure_events_registered_without_ctrl_protection ] ) ]
